@@ -68,6 +68,7 @@ class CalibrationProblem:
     budget: int = 20_000
     seed: int = 0
     shear_force: str = "friction"
+    _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.displs = np.asarray(self.displs, dtype=float)
@@ -78,6 +79,9 @@ class CalibrationProblem:
             )
         if len(self.displs) < 2:
             raise ValueError("need at least two samples")
+        if not (np.all(np.isfinite(self.temps.temps))
+                and np.all(np.isfinite(self.displs))):
+            raise ValueError("temperatures and displacements must be finite")
         if self.K_BP <= 0:
             raise ValueError("K_BP must be positive")
         if self.shear_force not in ("friction", "zero"):
@@ -97,10 +101,13 @@ class CalibrationProblem:
         hi_fs = self.bounds["f_s"][1]
         if lo_fd > hi_fs:
             raise ValueError("f_d <= f_s is infeasible for these bounds")
+        dts = np.diff(self.temps.times)
+        self._weights = np.concatenate((dts, dts[-1:]))
 
     def dt_weights(self) -> np.ndarray:
-        dts = np.diff(self.temps.times)
-        return np.concatenate((dts, dts[-1:]))
+        """Sample weights of the integrated mismatch: dt_i = t_{i+1} - t_i,
+        with the last sample reusing the last interval."""
+        return self._weights
 
 
 @dataclass

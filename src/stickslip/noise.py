@@ -84,12 +84,13 @@ class SeriesParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-def _parse_columns(stream: TextIO, n_cols: int) -> list[np.ndarray]:
-    """Parse delimited numeric columns; commas or whitespace, '#' comments.
+def _numeric_rows(stream: TextIO, n_cols: int):
+    """Yield (line number, values) for each data row of a column file.
 
-    A single non-numeric first row is accepted as a header.
+    Fields are separated by commas or whitespace, '#' starts a comment, and a
+    single non-numeric first row is accepted as a header.  Every field must
+    be a finite number.
     """
-    cols: list[list[float]] = [[] for _ in range(n_cols)]
     header_allowed = True
     for line_no, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -108,49 +109,39 @@ def _parse_columns(stream: TextIO, n_cols: int) -> list[np.ndarray]:
             raise SeriesParseError(
                 line_no, f"expected {n_cols} columns, got {len(values)}"
             )
-        for col, value in zip(cols, values):
-            col.append(value)
-    if not cols[0]:
+        if not all(map(math.isfinite, values)):
+            raise SeriesParseError(line_no, f"non-finite field in {line!r}")
+        yield line_no, values
+
+
+def _parse_columns(stream: TextIO, n_cols: int) -> list[np.ndarray]:
+    """Parse delimited numeric columns (see :func:`_numeric_rows`)."""
+    rows = [values for _, values in _numeric_rows(stream, n_cols)]
+    if not rows:
         raise SeriesParseError(0, "no data rows")
-    return [np.array(col) for col in cols]
+    return [np.array(col) for col in zip(*rows)]
 
 
 def load_temperature_series(source: TextIO | str) -> TemperatureSeries:
     """Read a (time, temperature) series from a character stream or string.
 
-    Times must be strictly increasing; violations raise
-    :class:`SeriesParseError` naming the offending line.
+    Times must be strictly increasing and every field finite; violations
+    raise :class:`SeriesParseError` naming the offending line.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
-    # Track line numbers for the monotonicity check
     times: list[float] = []
     temps: list[float] = []
-    line_nos: list[int] = []
-    header_allowed = True
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        try:
-            values = [float(part) for part in parts]
-        except ValueError:
-            if header_allowed:
-                header_allowed = False
-                continue
-            raise SeriesParseError(line_no, f"non-numeric field in {line!r}")
-        header_allowed = False
-        if len(values) != 2:
-            raise SeriesParseError(line_no, f"expected 2 columns, got {len(values)}")
-        if times and values[0] <= times[-1]:
+    prev_line = 0
+    for line_no, (t, temp) in _numeric_rows(stream, 2):
+        if times and t <= times[-1]:
             raise SeriesParseError(
                 line_no,
-                f"time {values[0]} not increasing (previous {times[-1]} "
-                f"on line {line_nos[-1]})",
+                f"time {t} not increasing (previous {times[-1]} "
+                f"on line {prev_line})",
             )
-        times.append(values[0])
-        temps.append(values[1])
-        line_nos.append(line_no)
+        times.append(t)
+        temps.append(temp)
+        prev_line = line_no
     if not times:
         raise SeriesParseError(0, "no data rows")
     return TemperatureSeries(np.array(times), np.array(temps))

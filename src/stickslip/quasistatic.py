@@ -17,7 +17,7 @@ against measured displacement/temperature records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,18 +32,6 @@ from .model import (
     Trajectory,
     eval_forcing,
 )
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
 
 __all__ = [
     "QuasistaticStep",
@@ -236,7 +224,9 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
                          max_events: int = 200_000) -> Trajectory:
     """Iterate quasistatic cycles and emit the staircase trajectory.
 
-    The displacement is piecewise constant at the stick levels; each slip is
+    The displacement is piecewise constant at the stick levels x0 + k*dx,
+    dx = 2(f_s - f_d)/K, the same lattice :func:`stick_levels_on_grid` reads
+    at the sample times; each slip is
     rendered as the half-cosine arc between consecutive levels so the record
     stays continuous.  With f_s = f_d consecutive zero-displacement slips are
     collapsed into one dynamic span lasting until the temperature re-enters
@@ -250,25 +240,30 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
     omega_n = math.sqrt(f.K / p.m)
     half_period = math.pi / omega_n
     t_hi = min(t_end, f.t_max)
+    x0 = float(x0)
+    dx = 2.0 * (p.f_s - p.f_d) / f.K
 
     # cycle bookkeeping: (tau_j, x_j, tau_half, eps, tau_next, x_next)
     steps: list[QuasistaticStep] = []
     events = EventLog()
     events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x0, j=0))
-    t, x = 0.0, float(x0)
+    t, x = 0.0, x0
+    k = 0  # lattice index of the stick level x0 + k*dx
     j = 0
     open_end = False
     while len(events) < max_events:
         step = quasistatic_step(x, t, f, p, t_hi)
         if step is None:
             break
-        if step.x_next == step.x_j:
+        if dx > 0.0:
+            k += step.eps_j
+            step = replace(step, x_next=x0 + k * dx)
+        else:
             # zero-displacement slip: collapse the chatter into one span
             # lasting until the temperature re-enters the admissible window
             reentry = _reentry_time(f, x, p, step.tau_next, t_hi)
             slip_end = t_hi if math.isinf(reentry) else max(step.tau_next, reentry)
-            step = QuasistaticStep(step.tau_j, step.x_j, step.tau_half,
-                                   step.eps_j, min(slip_end, t_hi), step.x_next)
+            step = replace(step, tau_next=min(slip_end, t_hi))
         steps.append(step)
         events.append(Event(time=step.tau_half, kind=EventKind.ENTER_DYNAMIC,
                             position=step.x_j, epsilon=step.eps_j, j=j))
@@ -353,46 +348,49 @@ def _evaluate(steps: list[QuasistaticStep], x0: float, half_period: float,
 # Sampled-grid stick levels (calibration hot path)
 # --------------------------------------------------------------------------
 
-@_njit(cache=True)
-def _ratchet(u: np.ndarray, x0: float, width: float, dx: float) -> np.ndarray:
-    """Stick level at each grid point for piecewise-linear drive u = beta*T.
+def _lattice_bounds(u: np.ndarray, x0: float, width: float,
+                    dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample admissible lattice indices [lo, hi] of the levels x0 + k*dx.
 
-    Within one linear segment the drive is monotone, so every threshold
-    crossing and the landing level follow from the segment's end value; slips
-    are applied sequentially (matching the event-by-event simulation bit for
-    bit).  Extreme parameter sets (thousands of slips per segment, or an
-    increment below the floating-point resolution of the level) fall back to
-    a bulk update; the iteration cap guards against stalls either way.
+    ``lo`` is the smallest k with u - (x0 + k*dx) <= width and ``hi`` the
+    largest k with u - (x0 + k*dx) >= -width.  Both start from the rounded
+    quotient and are then corrected by one step against exactly those float
+    predicates, so the indices agree with a sequential loop that evaluates
+    them.  Indices are integer-valued floats.
     """
-    out = np.empty_like(u)
-    x = x0
-    for i in range(u.shape[0]):
-        d = u[i] - x
-        if dx > 0.0 and d > width:
-            ratio = (d - width) / dx
-            if ratio <= 64.0:
-                k = 0
-                while u[i] - x > width and k < 80:
-                    x += dx
-                    k += 1
-            else:
-                x += dx * math.ceil(ratio)
-        elif dx > 0.0 and d < -width:
-            ratio = (-d - width) / dx
-            if ratio <= 64.0:
-                k = 0
-                while u[i] - x < -width and k < 80:
-                    x -= dx
-                    k += 1
-            else:
-                x -= dx * math.ceil(ratio)
-        out[i] = x
-    return out
+    lo = np.ceil((u - width - x0) / dx)
+    lo -= u - (x0 + (lo - 1.0) * dx) <= width
+    lo += u - (x0 + lo * dx) > width
+    hi = np.floor((u + width - x0) / dx)
+    hi += u - (x0 + (hi + 1.0) * dx) >= -width
+    hi -= u - (x0 + hi * dx) < -width
+    return lo, hi
 
 
-def _ratchet_py(u, x0, width, dx):
-    return _ratchet.py_func(u, x0, width, dx) if _HAVE_NUMBA \
-        else _ratchet(u, x0, width, dx)
+def _play_indices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """k_i = clip(k_{i-1}, lo_i, hi_i) from k_{-1} = 0, as a prefix scan.
+
+    With clip(k, a, b) = min(max(k, a), b), a clamp followed by a clamp is a
+    clamp,
+    clip(clip(k, a1, b1), a2, b2) = clip(k, clip(a1, a2, b2), clip(b1, a2, b2)),
+    so a Hillis-Steele inclusive scan composes the whole record in
+    ceil(log2 n) whole-array passes.  After pass p, (lo_i, hi_i) is the
+    composite clamp of samples i-2^p+1 .. i.  The identity also holds where
+    lo > hi, which clip maps to the constant hi: with f_d = 0 the window is
+    exactly one step wide and rounding can leave it without a lattice level
+    (lo = hi + 1), and the level then rests at hi.  Overwrites both arrays.
+    """
+    n = len(lo)
+    tmp_lo, tmp_hi = np.empty(n), np.empty(n)
+    step = 1
+    while step < n:
+        m = n - step
+        np.maximum(lo[:m], lo[step:], out=tmp_lo[:m])
+        np.maximum(hi[:m], lo[step:], out=tmp_hi[:m])
+        np.minimum(tmp_lo[:m], hi[step:], out=lo[step:])
+        np.minimum(tmp_hi[:m], hi[step:], out=hi[step:])
+        step *= 2
+    return np.minimum(np.maximum(0.0, lo), hi)
 
 
 def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
@@ -403,8 +401,17 @@ def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
     and reading the displacement at the sample times (slip arcs last half a
     natural period, far below any realistic acquisition cadence, so samples
     land on stick levels).  This is the calibration objective's hot path.
+
+    Every level is x0 + k*dx with dx = 2(f_s - f_d)/K, and each sample moves
+    the index k the least that brings |beta*T - level| within f_s/K: the
+    play operator of Krasnosel'skii & Pokrovskii on that lattice, computed by
+    :func:`_play_indices`.  With f_d = f_s the level never moves.
     """
-    u = np.ascontiguousarray(beta * np.asarray(temps, dtype=float))
+    u = beta * np.asarray(temps, dtype=float)
+    x0 = float(x0)
     width = f_s / K
     dx = 2.0 * (f_s - f_d) / K
-    return _ratchet(u, float(x0), width, dx)
+    if not dx > 0.0:
+        return np.full_like(u, x0)
+    lo, hi = _lattice_bounds(u, x0, width, dx)
+    return x0 + _play_indices(lo, hi) * dx

@@ -230,3 +230,22 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             CalibrationProblem(temps=series, displs=np.zeros(5), bounds=BOUNDS,
                                shear_force="both")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_record(self, bad):
+        temps = np.zeros(5)
+        temps[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationProblem(temps=TemperatureSeries(np.arange(5.0), temps),
+                               displs=np.zeros(5), bounds=BOUNDS)
+        series = TemperatureSeries(np.arange(5.0), np.zeros(5))
+        displs = np.zeros(5)
+        displs[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationProblem(temps=series, displs=displs, bounds=BOUNDS)
+
+    def test_weights_are_computed_once(self):
+        series = TemperatureSeries(np.array([0.0, 1.0, 3.0, 6.0]), np.zeros(4))
+        prob = CalibrationProblem(temps=series, displs=np.zeros(4), bounds=BOUNDS)
+        assert np.array_equal(prob.dt_weights(), [1.0, 2.0, 3.0, 3.0])
+        assert prob.dt_weights() is prob.dt_weights()

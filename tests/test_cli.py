@@ -1,4 +1,7 @@
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,22 @@ from stickslip.cli import (
 )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(tmp_path, *args):
     return main([str(a) for a in args])
+
+
+def run_module(*args, timeout=60):
+    """``python -m stickslip ARGS`` in a fresh interpreter; fails on a hang."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "stickslip",
+                           *(str(a) for a in args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def simulate_args(out, **overrides):
@@ -254,3 +271,46 @@ class TestShippedDataset:
         assert abs(beta - 1e-4) / 1e-4 < 0.05
         assert abs(f_d - 5000.0) / 5000.0 < 0.05
         assert abs(f_s - 8000.0) / 8000.0 < 0.05
+
+
+class TestModuleEntryPoint:
+    def test_ou_gen_writes_its_file(self, tmp_path):
+        proc = run_module("ou-gen", "--n", "20", "--dt", "0.1", "--seed", "4",
+                          "--out", tmp_path / "p")
+        assert proc.returncode == EXIT_OK
+        data = np.loadtxt(tmp_path / "p.txt")
+        assert np.allclose(data[:, 1], ou_path(20, 0.1, 4).values,
+                           rtol=0, atol=1e-8)
+
+    def test_bad_flag_is_config_error(self, tmp_path):
+        proc = run_module("ou-gen", "--frobnicate", "1", "--out", tmp_path / "p")
+        assert proc.returncode == EXIT_CONFIG
+
+
+class TestNonFiniteInput:
+    """Non-finite numbers in an input file are data errors naming the line."""
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_events_with_non_finite_temperature(self, tmp_path, bad):
+        temps = tmp_path / "T.csv"
+        temps.write_text(f"0,0.0\n10,0.5\n20,{bad}\n30,2.5\n40,2.0\n")
+        proc = run_module("simulate", "--solver", "events", "--forcing",
+                          "thermal", "--K", "1", "--beta", "1", "--fd", "0.5",
+                          "--fs", "1", "--x0", "0", "--t-end", "40",
+                          "--temps", temps, "--out", tmp_path / "th")
+        assert proc.returncode == EXIT_DATA
+        assert "line 3" in proc.stderr
+        assert not (tmp_path / "th.txt").exists()
+
+    def test_calibrate_with_nan_temperature(self, tmp_path):
+        data, bounds = _write_record(tmp_path, n=300)
+        rows = data.read_text().splitlines()
+        t, _, z = rows[150].split(",")
+        rows[150] = f"{t},nan,{z}"
+        data.write_text("\n".join(rows) + "\n")
+        proc = run_module("calibrate", "--data", data, "--bounds", bounds,
+                          "--budget", "150", "--kbp", "5e6",
+                          "--out", tmp_path / "fit")
+        assert proc.returncode == EXIT_DATA
+        assert "line 151" in proc.stderr
+        assert not (tmp_path / "fit.best.txt").exists()

@@ -15,6 +15,7 @@ from stickslip import (
     simulate_events,
 )
 from stickslip.model import TemperatureDomainError
+from stickslip.noise import _parse_columns
 
 
 class TestOuPath:
@@ -124,6 +125,20 @@ class TestLoadTemperatureSeries:
     def test_empty_input(self):
         with pytest.raises(SeriesParseError):
             load_temperature_series("# nothing\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_field_names_line(self, bad):
+        with pytest.raises(SeriesParseError) as err:
+            load_temperature_series(f"0,10.0\n600,{bad}\n1200,10.2\n")
+        assert err.value.line_no == 2
+        with pytest.raises(SeriesParseError) as err:
+            load_temperature_series(f"0,10.0\n{bad},10.5\n")
+        assert err.value.line_no == 2
+
+    def test_non_finite_column_names_line(self):
+        with pytest.raises(SeriesParseError) as err:
+            _parse_columns(io.StringIO("t,T,z\n0,1,2\n600,1,nan\n"), 3)
+        assert err.value.line_no == 3
 
     def test_stream_input(self):
         s = load_temperature_series(io.StringIO("0 1.0\n1 2.0\n"))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stickslip import (
     AnalyticTemperature,
@@ -19,7 +20,23 @@ from stickslip import (
     simulate_quasistatic,
     stick_levels_on_grid,
 )
-from stickslip.quasistatic import _ratchet_py
+
+
+def _lattice_loop(temps, x0, K, beta, f_d, f_s):
+    """Reference stick levels: walk the lattice x0 + k*dx one step at a time,
+    up while beta*T - x > f_s/K, then down while beta*T - x < -f_s/K."""
+    width = f_s / K
+    dx = 2.0 * (f_s - f_d) / K
+    out = np.empty(len(temps))
+    k = 0
+    for i, ui in enumerate((beta * np.asarray(temps, dtype=float)).tolist()):
+        if dx > 0.0:
+            while ui - (x0 + k * dx) > width:
+                k += 1
+            while ui - (x0 + k * dx) < -width:
+                k -= 1
+        out[i] = x0 + k * dx
+    return out
 
 
 def _ramp_forcing(rate=0.1, K=1.0, beta=1.0):
@@ -192,18 +209,23 @@ class TestStickLevelsOnGrid:
         levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s)
         assert np.array_equal(traj.x, levels)
 
-    def test_python_fallback_matches_jit(self):
+    def test_scan_matches_sequential_lattice_loop(self):
         times, temps = self._random_instance(3)
         u = 1e-4 * temps
-        jit = stick_levels_on_grid(temps, u[0], 2e6, 1e-4, 5000.0, 8000.0)
-        py = _ratchet_py(np.ascontiguousarray(u), float(u[0]),
-                         8000.0 / 2e6, 2.0 * 3000.0 / 2e6)
-        assert np.array_equal(jit, py)
+        scan = stick_levels_on_grid(temps, u[0], 2e6, 1e-4, 5000.0, 8000.0)
+        loop = _lattice_loop(temps, float(u[0]), 2e6, 1e-4, 5000.0, 8000.0)
+        assert np.array_equal(scan, loop)
 
     def test_zero_gap_holds_level(self):
         temps = np.array([0.0, 50.0, 100.0, 50.0, -50.0])
         levels = stick_levels_on_grid(temps, 0.0, 1e6, 1e-4, 8000.0, 8000.0)
         assert np.all(levels == 0.0)
+
+    def test_zero_step_holds_x0(self):
+        # f_d = f_s gives dx = 0: the level stays at x0 whatever the drive
+        temps = np.array([0.0, 3.0, -7.5, 1e3, -1e3])
+        levels = stick_levels_on_grid(temps, 0.25, 1.0, 1.0, 0.5, 0.5)
+        assert np.array_equal(levels, np.full(5, 0.25))
 
     def test_bulk_update_matches_sequential(self):
         # large drive excursion forces many slips in one segment
@@ -212,3 +234,50 @@ class TestStickLevelsOnGrid:
         levels = stick_levels_on_grid(temps, 0.0, K, beta, f_d, f_s)
         # landing level is within the admissible window of the final drive
         assert abs(beta * temps[-1] - levels[-1]) <= f_s / K + 2e-6
+        assert np.array_equal(levels, _lattice_loop(temps, 0.0, K, beta, f_d, f_s))
+
+    def test_zero_dynamic_friction_rounding_gap(self):
+        # f_d = 0 makes the window exactly one step wide (dx = 2*width); at
+        # u = 1.09 rounding leaves no lattice level inside it: k = 5 is
+        # 1e-17 below the window and k = 4 1e-17 above.  The level rests
+        # at k = 4 whichever side the drive comes from.
+        temps = np.array([1.0, 1.09, 1.3, 1.09])
+        x0, K, beta, f_d, f_s = 1.0, 1.0, 1.0, 0.0, 0.01
+        levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s)
+        assert levels[1] == levels[3] == x0 + 4 * 0.02
+        assert np.array_equal(levels, _lattice_loop(temps, x0, K, beta, f_d, f_s))
+        assert np.all(np.abs(temps - levels) <= f_s / K * (1 + 1e-12))
+
+    @pytest.mark.parametrize("x0, f_s, share", [
+        (0.0, 0.01, 0.0), (6.0, 0.3, 0.0), (0.0123, 0.004, 0.5),
+        (-0.3, 0.7, 0.25), (1.0, 1.1, 0.375)])
+    def test_drive_on_window_edges(self, x0, f_s, share):
+        # drives on, or one or two ulps beside, the window edges of lattice
+        # levels: the cases where the rounded quotient misses the bound
+        rng = np.random.default_rng(7)
+        dx = 2.0 * (f_s - share * f_s)
+        u = x0 + rng.integers(-40, 40, 400) * dx \
+            + rng.choice([-1.0, 1.0], 400) * f_s
+        u += rng.integers(-2, 3, 400) * np.spacing(u)
+        levels = stick_levels_on_grid(u, x0, 1.0, 1.0, share * f_s, f_s)
+        assert np.array_equal(levels,
+                              _lattice_loop(u, x0, 1.0, 1.0, share * f_s, f_s))
+
+    @settings(max_examples=200, deadline=None)
+    @given(temps=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=300),
+           x0_offset=st.floats(-1.0, 1.0),
+           K=st.floats(1e5, 1e7),
+           f_s=st.floats(1e3, 3e4),
+           f_d_share=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 0.95)))
+    def test_scan_equals_lattice_loop(self, temps, x0_offset, K, f_s, f_d_share):
+        beta = 1e-4
+        f_d = f_s * f_d_share
+        x0 = beta * temps[0] + x0_offset * f_s / K
+        levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s)
+        assert np.array_equal(levels, _lattice_loop(temps, x0, K, beta, f_d, f_s))
+        width = f_s / K
+        dx = 2.0 * (f_s - f_d) / K
+        # with dx = 0 the level never moves, so the drive may leave the window
+        if 0.0 < dx <= 2.0 * width:
+            u = beta * np.asarray(temps)
+            assert np.all(np.abs(u - levels) <= width * (1 + 1e-12))
