@@ -18,6 +18,7 @@ from .model import (
     PerturbedTemperature,
     PhaseLabel,
     SampledTemperature,
+    SolverCapError,
     SystemState,
     TemperatureSeries,
     TemperatureSource,
@@ -26,6 +27,7 @@ from .model import (
     constant_temperature,
     eval_forcing,
     friction_force,
+    horizon,
     natural_frequency,
 )
 from .euler import (
@@ -40,7 +42,6 @@ from .events import (
     MaxSubphasesError,
     SubphaseResult,
     dynamic_subphase,
-    dynamic_subphase_generic,
     next_departure,
     simulate_events,
 )

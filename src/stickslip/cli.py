@@ -27,15 +27,17 @@ from .calibrate import (
     calibrate,
 )
 from .euler import EulerConfig, simulate_euler
-from .events import EngineConfig, MaxSubphasesError, simulate_events
+from .events import EngineConfig, simulate_events
 from .model import (
     FrictionParams,
     HarmonicForcing,
     PhaseLabel,
     SampledTemperature,
+    SolverCapError,
     TemperatureSeries,
     TemperatureSpringForcing,
     Trajectory,
+    horizon,
 )
 from .noise import SeriesParseError, _parse_columns, load_temperature_series, \
     ou_path, perturbed_temperature
@@ -47,6 +49,7 @@ EXIT_DATA = 3
 EXIT_SOLVER = 4
 
 _FMT = "%.9g"
+_BLOCK_ROWS = 4096  # rows formatted per write, to bound the temporaries
 
 
 class ConfigError(ValueError):
@@ -57,17 +60,27 @@ def _fmt_row(values) -> str:
     return " ".join(_FMT % v for v in values)
 
 
+def _write_rows(fh, columns: np.ndarray) -> None:
+    """Write the rows of a (n, k) array as _fmt_row lines, a block at a time."""
+    row = " ".join([_FMT] * columns.shape[1]) + "\n"
+    for i in range(0, len(columns), _BLOCK_ROWS):
+        block = columns[i:i + _BLOCK_ROWS]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 # --------------------------------------------------------------------------
 # Trajectory / event file IO
 # --------------------------------------------------------------------------
+
+def _columns(traj: Trajectory) -> np.ndarray:
+    return np.column_stack((traj.t, traj.x, traj.v, traj.friction, traj.b))
+
 
 def write_trajectory(path: Path, traj: Trajectory, header: bool = False) -> None:
     with open(path, "w") as fh:
         if header:
             fh.write("# t x v friction b\n")
-        for i in range(len(traj)):
-            fh.write(_fmt_row((traj.t[i], traj.x[i], traj.v[i],
-                               traj.friction[i], traj.b[i])) + "\n")
+        _write_rows(fh, _columns(traj))
 
 
 def write_events(path: Path, traj: Trajectory, header: bool = False) -> None:
@@ -85,6 +98,7 @@ def write_split_segments(prefix: Path, traj: Trajectory,
     paths = []
     counts = {PhaseLabel.STATIC: 0, PhaseLabel.DYNAMIC: 0}
     tag = {PhaseLabel.STATIC: "s", PhaseLabel.DYNAMIC: "d"}
+    columns = _columns(traj)
     i = 0
     n = len(traj)
     while i < n:
@@ -97,9 +111,7 @@ def write_split_segments(prefix: Path, traj: Trajectory,
         with open(path, "w") as fh:
             if header:
                 fh.write("# t x v friction b\n")
-            for k in range(i, j):
-                fh.write(_fmt_row((traj.t[k], traj.x[k], traj.v[k],
-                                   traj.friction[k], traj.b[k])) + "\n")
+            _write_rows(fh, columns[i:j])
         paths.append(path)
         i = j
     return paths
@@ -254,7 +266,10 @@ def run_simulate(args) -> int:
     if args.solver == "euler":
         if not args.h:
             raise ConfigError("euler solver requires --h")
-        cfg = EulerConfig(h=args.h, n_steps=int(round(args.t_end / args.h)),
+        n_steps = int(round(horizon(args.t_end, forcing) / args.h))
+        if n_steps * args.h > forcing.t_max:  # keep the last step on the record
+            n_steps -= 1
+        cfg = EulerConfig(h=args.h, n_steps=n_steps,
                           record_every=args.record_every)
         traj = simulate_euler(args.x0, forcing, p, cfg)
     elif args.solver == "events":
@@ -355,8 +370,7 @@ def run_ou_gen(args) -> int:
     with open(out.with_name(out.name + ".txt"), "w") as fh:
         if args.header:
             fh.write("# t v\n")
-        for t, v in zip(path.times(), path.values):
-            fh.write(_fmt_row((t, v)) + "\n")
+        _write_rows(fh, np.column_stack((path.times(), path.values)))
     return EXIT_OK
 
 
@@ -384,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except SeriesParseError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except MaxSubphasesError as exc:
+    except SolverCapError as exc:
         print(f"solver diagnostic: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -8,12 +8,12 @@ motion solves the smooth signed ODE
 
     m x'' = b(x, x', t) - eps * f_d,   x(tau) = x_jk, x'(tau) = 0,
 
-and the sub-phase ends at the first zero of x'.  For the temperature-spring
-forcing the ODE is linear and solved through the Duhamel convolution
-evaluated with composite Gauss-Legendre quadrature; the generic path (any
-forcing, including velocity-dependent damping) integrates with fixed-step
-RK4.  Zero-velocity instants are bracketed on the scan grid and refined by
-bisection to the configured root tolerance.
+and the sub-phase ends at the first zero of x'.  For both forcings this ODE
+is linear, m x'' + c x' + k x = g(t) - eps * f_d, and one integrator advances
+its exact 2x2 state propagator, with the drive term taken by Gauss-Legendre
+quadrature on panels split at the temperature breakpoints.  Zero-velocity
+instants are bracketed on the scan grid and refined by bisection to the
+configured root tolerance.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from .model import (
     ForcingModel,
     FrictionParams,
     PhaseLabel,
-    TemperatureSpringForcing,
+    SolverCapError,
     Trajectory,
     eval_forcing,
+    horizon,
+    natural_frequency,
 )
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
     "MaxSubphasesError",
     "next_departure",
     "dynamic_subphase",
-    "dynamic_subphase_generic",
     "simulate_events",
 ]
 
@@ -55,19 +56,17 @@ class EngineConfig:
     ``bracket_dt`` (the event-scan step) defaults to 1/64 of the fastest
     relevant period -- the natural period of the slip oscillation, and for
     harmonic forcing also the forcing period -- so brief threshold crossings
-    are not stepped over.  ``quad_points`` is the Gauss-Legendre node count
-    per quadrature panel.
+    are not stepped over.  Sub-phases advance the exact propagator between
+    scan points, so the scan step sets where roots are bracketed, not the
+    accuracy of the motion.
     """
 
     t_end: float
-    quad_points: int = 24
     root_tol: float = 1e-9
     bracket_dt: float | None = None
     max_subphases: int = 1000
 
     def __post_init__(self):
-        if self.quad_points < 16:
-            raise ValueError("quad_points must be >= 16")
         if self.root_tol <= 0:
             raise ValueError("root_tol must be positive")
         if self.bracket_dt is not None and self.bracket_dt <= 0:
@@ -92,12 +91,8 @@ class SubphaseResult:
     truncated: bool = False
 
 
-class MaxSubphasesError(RuntimeError):
+class MaxSubphasesError(SolverCapError):
     """Sub-phase cascade exceeded the configured safety cap."""
-
-    def __init__(self, message: str, partial: Trajectory | None = None):
-        super().__init__(message)
-        self.partial = partial
 
 
 def _scan_step(f: ForcingModel, p: FrictionParams | None, cfg: EngineConfig) -> float:
@@ -108,17 +103,7 @@ def _scan_step(f: ForcingModel, p: FrictionParams | None, cfg: EngineConfig) -> 
     """
     if cfg.bracket_dt is not None:
         return cfg.bracket_dt
-    m = p.m if p is not None else 1.0
-    K = f.K if isinstance(f, TemperatureSpringForcing) else 1.0
-    omega_n = math.sqrt(K / m)
-    step = (2.0 * math.pi / omega_n) / 64.0
-    if not isinstance(f, TemperatureSpringForcing) and f.Omega > 0:
-        step = min(step, (2.0 * math.pi / f.Omega) / 64.0)
-    return step
-
-
-def _horizon(f: ForcingModel, cfg: EngineConfig) -> float:
-    return min(cfg.t_end, f.t_max)
+    return (2.0 * math.pi / max(natural_frequency(f, p), f.Omega)) / 64.0
 
 
 # --------------------------------------------------------------------------
@@ -132,7 +117,7 @@ def next_departure(x_j: float, tau_j: float, f: ForcingModel, f_s: float,
     Forward scan with step ``bracket_dt`` followed by bisection on
     |b| - f_s down to ``root_tol``.
     """
-    t_hi = _horizon(f, cfg)
+    t_hi = horizon(cfg.t_end, f)
     if tau_j >= t_hi:
         return math.inf
     step = _scan_step(f, None, cfg)
@@ -169,232 +154,156 @@ def next_departure(x_j: float, tau_j: float, f: ForcingModel, f_s: float,
 
 
 # --------------------------------------------------------------------------
-# Temperature-spring sub-phase: Duhamel quadrature
+# Slip sub-phase: the exact linear propagator
 # --------------------------------------------------------------------------
 
-class _DuhamelIntegrator:
-    """Evaluates x(t), x'(t) for  m x'' = K(beta T(t) - x) - eps f_d  from rest.
+_GL_POINTS = 24
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
 
-    With omega = sqrt(K/m) and g(s) = K beta T(s) - eps f_d,
 
-        x(t)  = x0 cos w(t-tau) + [sin(wt) C(t) - cos(wt) S(t)] / (m w)
-        x'(t) = -w x0 sin w(t-tau) + [cos(wt) C(t) + sin(wt) S(t)] / m
+class _LinearSubphase:
+    """State (x, x') of  m x'' + c x' + k x = g(t) - eps f_d  from an anchor.
 
-    where C(t) = int_tau^t cos(ws) g(s) ds and S(t) likewise with sin.  C and
-    S accumulate panel-by-panel as the evaluation front advances, so a full
-    scan costs one pass of quadrature.  Panels are split at the temperature
-    source's interpolation breakpoints, making the quadrature exact on
-    piecewise-linear (sampled or noise-perturbed) temperature inputs.
+    Both forcings give this ODE during a slip, with k = ``f.K``,
+    c = ``f.damping`` and the drive g(t) = b(0, 0, t).  In first-order form
+    y' = A y + e2 (g - eps f_d)/m, and with mu = -c/2m, delta^2 = mu^2 - k/m
+    the propagator over a span r is
+
+        E(r) = e^{mu r} [ch(r) I + sh(r) (A - mu I)],
+
+    where (ch, sh) is (cos wr, sin(wr)/w) for delta^2 = -w^2 < 0, (cosh wr,
+    sinh(wr)/w) for delta^2 = w^2 > 0 and (1, r) at critical damping.  Then
+
+        y(t) = E(t - t0) y0 + int_t0^t E(t - s) e2 (g(s) - eps f_d)/m ds,
+
+    with the integral taken by the Gauss-Legendre rule on panels split at the
+    forcing's breakpoints: exact on piecewise-linear temperatures, and at
+    machine precision on the smooth drives, resonance included.  ``commit``
+    re-anchors (t0, y0) at a scan point, so no span exceeds one scan step and
+    no e^{mu r} grows over a long sub-phase.
     """
 
-    def __init__(self, f: TemperatureSpringForcing, p: FrictionParams,
-                 eps: int, tau: float, x0: float, quad_points: int):
+    def __init__(self, f: ForcingModel, p: FrictionParams, eps: int,
+                 t0: float, x0: float):
         self.f = f
-        self.m = p.m
-        self.omega = math.sqrt(f.K / p.m)
+        self.inv_m = 1.0 / p.m
         self.eps_fd = eps * p.f_d
-        self.tau = tau
-        self.x0 = x0
-        self.nodes, self.weights = np.polynomial.legendre.leggauss(quad_points)
-        breaks = f.T.breakpoints
+        self.mu = -0.5 * f.damping / p.m
+        self.k_m = f.K / p.m
+        self.delta2 = self.mu * self.mu - self.k_m
+        self.w = math.sqrt(abs(self.delta2))
+        breaks = f.breakpoints
         self.breaks = None if breaks is None else np.asarray(breaks, dtype=float)
-        self.t_front = tau
-        self.C = 0.0
-        self.S = 0.0
+        self.commit(t0, x0, 0.0)
 
-    def _panel_integrals(self, a: float, b: float) -> tuple[float, float]:
-        """(dC, dS) over [a, b] by composite GL split at breakpoints."""
-        if b <= a:
-            return 0.0, 0.0
-        if self.breaks is None:
-            edges = np.array([a, b])
-        else:
-            lo = np.searchsorted(self.breaks, a, side="right")
-            hi = np.searchsorted(self.breaks, b, side="left")
-            edges = np.concatenate(([a], self.breaks[lo:hi], [b]))
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        # nodes: (n_panels, n_nodes); weights scale with half-lengths
-        s = mids[:, None] + halfs[:, None] * self.nodes[None, :]
-        w = halfs[:, None] * self.weights[None, :]
-        g = self.f.K * self.f.beta * self.f.T.at(s) - self.eps_fd
-        ws = self.omega * s
-        dC = float(np.sum(w * np.cos(ws) * g))
-        dS = float(np.sum(w * np.sin(ws) * g))
-        return dC, dS
+    def commit(self, t: float, x: float, v: float) -> None:
+        """Re-anchor at a state that :meth:`eval` returned."""
+        self.t0, self.x0, self.v0 = t, x, v
+
+    def _ch_sh(self, r: np.ndarray):
+        if self.delta2 < 0.0:
+            wr = self.w * r
+            return np.cos(wr), np.sin(wr) / self.w
+        if self.delta2 > 0.0:
+            wr = self.w * r
+            return np.cosh(wr), np.sinh(wr) / self.w
+        return np.ones_like(r), r
 
     def eval(self, t: float) -> tuple[float, float]:
-        """(x, x') at t >= committed front; does not move the front."""
-        dC, dS = self._panel_integrals(self.t_front, t)
-        C = self.C + dC
-        S = self.S + dS
-        w = self.omega
-        rel = t - self.tau
-        sin_wt, cos_wt = math.sin(w * t), math.cos(w * t)
-        x = self.x0 * math.cos(w * rel) + (sin_wt * C - cos_wt * S) / (self.m * w)
-        v = -w * self.x0 * math.sin(w * rel) + (cos_wt * C + sin_wt * S) / self.m
-        return x, v
-
-    def commit(self, t: float) -> None:
-        dC, dS = self._panel_integrals(self.t_front, t)
-        self.C += dC
-        self.S += dS
-        self.t_front = t
-
-
-def _locate_stop(eval_xv, eps: int, tau: float, step: float, t_hi: float,
-                 root_tol: float, commit=None):
-    """Scan forward for the first zero of eps * x' and refine by bisection.
-
-    ``eval_xv(t)`` returns (x, v) for t at/after the last committed front;
-    ``commit(t)`` (optional) advances the front.  Returns
-    (tau_stop, x_stop, path_t, path_x, path_v, truncated) where the path
-    holds the interior scan samples (start/end excluded).
-    """
-    ts: list[float] = []
-    xs: list[float] = []
-    vs: list[float] = []
-    t_prev = tau
-    i = 1
-    while True:
-        t_i = tau + i * step
-        if t_i >= t_hi:
-            x_i, v_i = eval_xv(t_hi)
-            if eps * v_i > 0.0:  # still moving at the horizon
-                return t_hi, x_i, np.array(ts), np.array(xs), np.array(vs), True
-            t_i = t_hi  # the stop lies in (t_prev, t_hi]: fall through to bisect
+        """(x, x') at t >= the anchor; does not move the anchor."""
+        t0, x0, v0, mu = self.t0, self.x0, self.v0, self.mu
+        if self.breaks is None:
+            edges = np.array([t0, t])
         else:
-            x_i, v_i = eval_xv(t_i)
-        if eps * v_i <= 0.0:
-            # sign change in (t_prev, t_i]; ensure a strictly-moving left end
-            lo, hi = t_prev, t_i
-            if not ts:  # no interior sample yet: probe for motion after tau
-                probe = step
-                moving = False
-                while probe > root_tol:
-                    probe *= 0.5
-                    x_p, v_p = eval_xv(tau + probe)
-                    if eps * v_p > 0.0:
-                        lo, moving = tau + probe, True
-                        break
-                if not moving:
-                    # degenerate sub-phase shorter than root_tol
-                    x_stop, _ = eval_xv(tau + probe)
-                    return tau + probe, x_stop, np.array(ts), np.array(xs), \
-                        np.array(vs), False
-            while hi - lo > root_tol:
-                mid = 0.5 * (lo + hi)
-                _, v_mid = eval_xv(mid)
-                if eps * v_mid > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t_stop = 0.5 * (lo + hi)
-            x_stop, _ = eval_xv(t_stop)
-            return t_stop, x_stop, np.array(ts), np.array(xs), np.array(vs), False
-        ts.append(t_i)
-        xs.append(x_i)
-        vs.append(v_i)
-        if commit is not None:
-            commit(t_i)
-        t_prev = t_i
-        i += 1
+            lo = np.searchsorted(self.breaks, t0, side="right")
+            hi = np.searchsorted(self.breaks, t, side="left")
+            edges = np.concatenate(([t0], self.breaks[lo:hi], [t]))
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        halfs = 0.5 * (edges[1:] - edges[:-1])
+        s = (mids[:, None] + halfs[:, None] * _GL_NODES).ravel()
+        # spans: [0] from the anchor, [1:] from each quadrature node
+        r = np.concatenate(([t - t0], t - s))
+        decay = np.exp(mu * r)
+        ch, sh = self._ch_sh(r)
+        drive = (eval_forcing(self.f, 0.0, 0.0, s) - self.eps_fd) * self.inv_m
+        wd = (halfs[:, None] * _GL_WEIGHTS).ravel() * drive * decay[1:]
+        x = decay[0] * (ch[0] * x0 + sh[0] * (v0 - mu * x0)) \
+            + float(np.dot(wd, sh[1:]))
+        v = decay[0] * (ch[0] * v0 + sh[0] * (mu * v0 - self.k_m * x0)) \
+            + float(np.dot(wd, ch[1:] + mu * sh[1:]))
+        return float(x), float(v)
 
 
 def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
-                     f: TemperatureSpringForcing, p: FrictionParams,
+                     f: ForcingModel, p: FrictionParams,
                      cfg: EngineConfig) -> SubphaseResult:
-    """Solve one sub-phase of the temperature-spring model from rest.
+    """Solve one slip sub-phase from rest at (tau_jk, x_jk), for either forcing.
 
-    Evaluates the explicit oscillator solution (Duhamel quadrature) and
-    locates the first x' = 0 instant by bracketing and bisection.
+    Steps the exact linear propagator over the scan grid of spacing
+    ``bracket_dt``, re-anchoring at every scan point, and refines the first
+    zero of eps * x' by bisection to ``root_tol``.  The path holds the start,
+    the interior scan samples and the end.
     """
-    if not isinstance(f, TemperatureSpringForcing):
-        raise TypeError("dynamic_subphase requires temperature-spring forcing")
-    integ = _DuhamelIntegrator(f, p, eps_jk, tau_jk, x_jk, cfg.quad_points)
+    sub = _LinearSubphase(f, p, eps_jk, tau_jk, x_jk)
     step = _scan_step(f, p, cfg)
-    t_hi = _horizon(f, cfg)
-    tau_next, x_next, ts, xs, vs, truncated = _locate_stop(
-        integ.eval, eps_jk, tau_jk, step, t_hi, cfg.root_tol, commit=integ.commit
-    )
-    path_t = np.concatenate(([tau_jk], ts, [tau_next]))
-    path_x = np.concatenate(([x_jk], xs, [x_next]))
-    end_v = integ.eval(tau_next)[1] if truncated else 0.0
-    path_v = np.concatenate(([0.0], vs, [end_v]))
-    return SubphaseResult(tau_next, x_next, path_t, path_x, path_v, truncated)
+    t_hi = horizon(cfg.t_end, f)
+    ts, xs, vs = [tau_jk], [x_jk], [0.0]
+
+    def result(t: float, x: float, v: float, truncated: bool) -> SubphaseResult:
+        ts.append(t)
+        xs.append(x)
+        vs.append(v)
+        return SubphaseResult(t, x, np.array(ts), np.array(xs), np.array(vs),
+                              truncated)
+
+    t_prev = tau_jk
+    i = 1
+    while True:
+        t_i = tau_jk + i * step
+        if t_i >= t_hi:
+            x_i, v_i = sub.eval(t_hi)
+            if eps_jk * v_i > 0.0:  # still moving at the horizon
+                return result(t_hi, x_i, v_i, True)
+            t_i = t_hi  # the stop lies in (t_prev, t_hi]
+        else:
+            x_i, v_i = sub.eval(t_i)
+        if eps_jk * v_i <= 0.0:
+            break
+        ts.append(t_i)
+        xs.append(x_i)
+        vs.append(v_i)
+        sub.commit(t_i, x_i, v_i)
+        t_prev = t_i
+        i += 1
+
+    # sign change in (t_prev, t_i]; ensure a strictly-moving left end
+    lo, hi = t_prev, t_i
+    if t_prev == tau_jk:  # no interior sample yet: probe for motion after tau
+        probe = step
+        while probe > cfg.root_tol:
+            probe *= 0.5
+            if eps_jk * sub.eval(tau_jk + probe)[1] > 0.0:
+                lo = tau_jk + probe
+                break
+        else:  # degenerate sub-phase shorter than root_tol
+            return result(tau_jk + probe, sub.eval(tau_jk + probe)[0], 0.0, False)
+    while hi - lo > cfg.root_tol:
+        mid = 0.5 * (lo + hi)
+        if eps_jk * sub.eval(mid)[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t_stop = 0.5 * (lo + hi)
+    return result(t_stop, sub.eval(t_stop)[0], 0.0, False)
 
 
-# --------------------------------------------------------------------------
-# Generic sub-phase: RK4 on the signed ODE
-# --------------------------------------------------------------------------
-
-def _rk4_span(f: ForcingModel, inv_m: float, eps_fd: float,
-              t: float, x: float, v: float, dt: float, n: int):
-    """Advance (x, v) by n RK4 steps of size dt; returns the end state."""
-    for _ in range(n):
-        a1 = (eval_forcing(f, x, v, t) - eps_fd) * inv_m
-        x2, v2 = x + 0.5 * dt * v, v + 0.5 * dt * a1
-        a2 = (eval_forcing(f, x2, v2, t + 0.5 * dt) - eps_fd) * inv_m
-        x3, v3 = x + 0.5 * dt * v2, v + 0.5 * dt * a2
-        a3 = (eval_forcing(f, x3, v3, t + 0.5 * dt) - eps_fd) * inv_m
-        x4, v4 = x + dt * v3, v + dt * a3
-        a4 = (eval_forcing(f, x4, v4, t + dt) - eps_fd) * inv_m
-        x = x + dt * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        v = v + dt * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        t = t + dt
-    return x, v
-
-
-_RK_SUBSTEPS = 8
-
-
-def dynamic_subphase_generic(x_jk: float, tau_jk: float, eps_jk: int,
-                             f: ForcingModel, p: FrictionParams,
-                             cfg: EngineConfig) -> SubphaseResult:
-    """Solve one sub-phase for any forcing by fixed-step RK4 dense output.
-
-    The scan grid spacing is ``bracket_dt`` with ``_RK_SUBSTEPS`` internal RK4
-    steps per scan interval; the first x' sign change is refined by bisection
-    re-integrating from the last grid state.
-    """
-    step = _scan_step(f, p, cfg)
-    dt = step / _RK_SUBSTEPS
-    t_hi = _horizon(f, cfg)
-    inv_m = 1.0 / p.m
-    eps_fd = eps_jk * p.f_d
-
-    state = {"t": tau_jk, "x": x_jk, "v": 0.0}
-
-    def eval_xv(t: float):
-        span = t - state["t"]
-        if span <= 0:
-            return state["x"], state["v"]
-        n = max(1, math.ceil(span / dt))
-        return _rk4_span(f, inv_m, eps_fd, state["t"], state["x"], state["v"],
-                         span / n, n)
-
-    def commit(t: float):
-        state["x"], state["v"] = eval_xv(t)
-        state["t"] = t
-
-    tau_next, x_next, ts, xs, vs, truncated = _locate_stop(
-        eval_xv, eps_jk, tau_jk, step, t_hi, cfg.root_tol, commit=commit
-    )
-    path_t = np.concatenate(([tau_jk], ts, [tau_next]))
-    path_x = np.concatenate(([x_jk], xs, [x_next]))
-    end_v = eval_xv(tau_next)[1] if truncated else 0.0
-    path_v = np.concatenate(([0.0], vs, [end_v]))
-    return SubphaseResult(tau_next, x_next, path_t, path_x, path_v, truncated)
+# perfbench/tracer.py spans this name as its own layer
+dynamic_subphase_generic = dynamic_subphase
 
 
 # --------------------------------------------------------------------------
 # Full cascade
 # --------------------------------------------------------------------------
-
-def _sub_solver(f: ForcingModel):
-    return dynamic_subphase if isinstance(f, TemperatureSpringForcing) \
-        else dynamic_subphase_generic
-
 
 class _Recorder:
     """Accumulates trajectory columns and classifies samples."""
@@ -452,9 +361,8 @@ def simulate_events(x0: float, f: ForcingModel, p: FrictionParams,
     phase at t = 0.  Raises :class:`MaxSubphasesError` (with the partial
     trajectory attached) if a single dynamic phase exceeds the sub-phase cap.
     """
-    t_hi = _horizon(f, cfg)
+    t_hi = horizon(cfg.t_end, f)
     step = _scan_step(f, p, cfg)
-    solve_sub = _sub_solver(f)
     rec = _Recorder(f, p)
     events = EventLog()
 
@@ -483,7 +391,7 @@ def simulate_events(x0: float, f: ForcingModel, p: FrictionParams,
                             epsilon=eps, j=j))
         k = 0
         while True:
-            sub = solve_sub(x, t, eps, f, p, cfg)
+            sub = dynamic_subphase(x, t, eps, f, p, cfg)
             interior = sub.path_t < sub.tau_next
             rec.add_dynamic(sub.path_t[interior], sub.path_x[interior],
                             sub.path_v[interior])

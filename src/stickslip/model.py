@@ -39,6 +39,9 @@ __all__ = [
     "Trajectory",
     "eval_forcing",
     "friction_force",
+    "horizon",
+    "natural_frequency",
+    "SolverCapError",
 ]
 
 
@@ -236,6 +239,12 @@ class HarmonicForcing:
     Omega: float
     alpha: float = 0.0
 
+    K = 1.0  # the unit spring
+
+    @property
+    def damping(self) -> float:
+        return 2.0 * self.alpha
+
     def force(self, x, v, t):
         if np.isscalar(t) and np.isscalar(x):
             return self.beta * math.cos(self.Omega * t) - 2.0 * self.alpha * v - x
@@ -246,6 +255,10 @@ class HarmonicForcing:
     def t_max(self) -> float:
         return math.inf
 
+    @property
+    def breakpoints(self) -> np.ndarray | None:
+        return None
+
 
 @dataclass(frozen=True)
 class TemperatureSpringForcing:
@@ -254,6 +267,9 @@ class TemperatureSpringForcing:
     K: float
     beta: float
     T: TemperatureSource
+
+    damping = 0.0
+    Omega = 0.0  # no drive of its own: the temperature source sets the pace
 
     def __post_init__(self):
         if not self.K > 0:
@@ -266,7 +282,13 @@ class TemperatureSpringForcing:
     def t_max(self) -> float:
         return self.T.t_max
 
+    @property
+    def breakpoints(self) -> np.ndarray | None:
+        return self.T.breakpoints
 
+
+# Both forcings are linear in the state, b(x, x', t) = b(0, 0, t) - damping*x'
+# - K*x, and ``breakpoints`` lists the times where b(0, 0, t) may have a kink.
 ForcingModel = Union[HarmonicForcing, TemperatureSpringForcing]
 
 
@@ -275,14 +297,16 @@ def eval_forcing(f: ForcingModel, x, v, t):
     return f.force(x, v, t)
 
 
-def natural_frequency(f: ForcingModel, p: FrictionParams) -> float:
-    """Oscillation rate of the spring-mass system during slips.
+def natural_frequency(f: ForcingModel, p: FrictionParams | None = None) -> float:
+    """Undamped oscillation rate sqrt(K/m) of the spring-mass system during
+    slips; without friction parameters the mass is taken as one."""
+    return math.sqrt(f.K / (1.0 if p is None else p.m))
 
-    sqrt(K/m) for the temperature spring; the harmonic variant carries a
-    unit spring, giving sqrt(1/m).
-    """
-    K = f.K if isinstance(f, TemperatureSpringForcing) else 1.0
-    return math.sqrt(K / p.m)
+
+def horizon(t_end: float, domain) -> float:
+    """End of a run: ``t_end``, capped where the forcing (or the temperature
+    record, or any object with a ``t_max``) stops being defined."""
+    return min(t_end, domain.t_max)
 
 
 # --------------------------------------------------------------------------
@@ -434,6 +458,15 @@ class Trajectory:
         expect = np.sign(self.v[moving]) * p.f_d
         if not np.array_equal(self.friction[moving], expect):
             raise AssertionError("dynamic sample with friction != sign(v)*f_d")
+
+
+class SolverCapError(RuntimeError):
+    """A solver exceeded its safety cap; ``partial`` holds the trajectory up
+    to that point when the solver could build one."""
+
+    def __init__(self, message: str, partial: Trajectory | None = None):
+        super().__init__(message)
+        self.partial = partial
 
 
 # --------------------------------------------------------------------------

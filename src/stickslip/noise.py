@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, TextIO
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .model import PerturbedTemperature, TemperatureSeries
 
@@ -58,10 +57,13 @@ def ou_path(n: int, dt: float, seed: int) -> OuPath:
         raise ValueError("dt must be positive")
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal(n - 1)
-    # v_{k+1} = (1 - dt) v_k + sqrt(dt) xi_k  as a linear recursion
-    tail = lfilter([math.sqrt(dt)], [1.0, -(1.0 - dt)], xi)
-    values = np.concatenate(([0.0], tail))
-    return OuPath(dt=dt, values=values, seed=seed)
+    decay, gain = 1.0 - dt, math.sqrt(dt)
+    values = [0.0]
+    v = 0.0
+    for xi_k in xi.tolist():
+        v = decay * v + gain * xi_k
+        values.append(v)
+    return OuPath(dt=dt, values=np.array(values), seed=seed)
 
 
 def perturbed_temperature(Omega: float, rho: float, path: OuPath) -> PerturbedTemperature:

@@ -28,9 +28,12 @@ from .model import (
     FrictionParams,
     PhaseLabel,
     SampledTemperature,
+    SolverCapError,
     TemperatureSpringForcing,
     Trajectory,
     eval_forcing,
+    horizon,
+    natural_frequency,
 )
 
 __all__ = [
@@ -75,7 +78,7 @@ def _departure_sampled(series, beta: float, x_j: float, width: float,
     """Exact inversion of |beta*T(t) - x_j| > width on the linear interpolant."""
     times = series.times
     u = beta * series.temps
-    t_hi = min(t_end, float(times[-1]))
+    t_hi = horizon(t_end, series)
     if tau_j >= t_hi:
         return math.inf
     # segment containing tau_j
@@ -106,7 +109,7 @@ def _departure_sampled(series, beta: float, x_j: float, width: float,
 def _departure_scan(f: TemperatureSpringForcing, x_j: float, width_b: float,
                     tau_j: float, t_end: float, scan_dt: float) -> float:
     """Scan + bisection for |b(x_j, t)| > width_b on an arbitrary source."""
-    t_hi = min(t_end, f.t_max)
+    t_hi = horizon(t_end, f)
     if tau_j >= t_hi:
         return math.inf
 
@@ -149,7 +152,7 @@ def quasistatic_step(x_j: float, tau_j: float, f: TemperatureSpringForcing,
         tau_half = _departure_sampled(f.T.series, f.beta, x_j, width, tau_j, t_end)
     else:
         if scan_dt is None:
-            scan_dt = (min(t_end, f.t_max) - tau_j) / 4096.0
+            scan_dt = (horizon(t_end, f) - tau_j) / 4096.0
             breaks = f.T.breakpoints
             if breaks is not None and len(breaks) > 1:
                 scan_dt = min(scan_dt, float(breaks[1] - breaks[0]))
@@ -157,7 +160,7 @@ def quasistatic_step(x_j: float, tau_j: float, f: TemperatureSpringForcing,
     if not tau_half < t_end:
         return None
     eps = 1 if f.beta * f.T.at(tau_half) - x_j >= 0 else -1
-    omega_n = math.sqrt(f.K / p.m)
+    omega_n = natural_frequency(f, p)
     return QuasistaticStep(
         tau_j=tau_j,
         x_j=x_j,
@@ -175,10 +178,10 @@ def quasistatic_step(x_j: float, tau_j: float, f: TemperatureSpringForcing,
 def _reentry_time(f: TemperatureSpringForcing, x: float, p: FrictionParams,
                   t_from: float, t_end: float) -> float:
     """First t >= t_from with |b(x, t)| <= f_s (equal-threshold chatter collapse)."""
+    t_hi = horizon(t_end, f)
     if isinstance(f.T, SampledTemperature):
         series = f.T.series
         times = series.times
-        t_hi = min(t_end, float(times[-1]))
         t_a = t_from
         i = max(0, min(int(np.searchsorted(times, t_from, side="right") - 1),
                        len(times) - 2))
@@ -199,9 +202,9 @@ def _reentry_time(f: TemperatureSpringForcing, x: float, p: FrictionParams,
                 break
             t_a, u_a = t_b, u_b
         return math.inf
-    scan_dt = (min(t_end, f.t_max) - t_from) / 4096.0 if t_end > t_from else 1.0
-    n = max(1, math.ceil((min(t_end, f.t_max) - t_from) / scan_dt))
-    ts = np.minimum(t_from + scan_dt * np.arange(0, n + 1), min(t_end, f.t_max))
+    scan_dt = (t_hi - t_from) / 4096.0 if t_end > t_from else 1.0
+    n = max(1, math.ceil((t_hi - t_from) / scan_dt))
+    ts = np.minimum(t_from + scan_dt * np.arange(0, n + 1), t_hi)
     g = np.abs(eval_forcing(f, x, 0.0, ts)) - p.f_s
     hit = np.nonzero(g <= 0)[0]
     if len(hit) == 0:
@@ -233,13 +236,13 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
     the admissible window (the level never moves).
 
     ``sample_times`` overrides the output grid (values must lie in
-    [0, t_end]); the event log is unaffected by sampling.
+    [0, t_end]); the event log is unaffected by sampling.  More than
+    ``max_events`` events raise :class:`SolverCapError`.
     """
     if not isinstance(f, TemperatureSpringForcing):
         raise TypeError("quasistatic model requires temperature-spring forcing")
-    omega_n = math.sqrt(f.K / p.m)
-    half_period = math.pi / omega_n
-    t_hi = min(t_end, f.t_max)
+    half_period = math.pi / natural_frequency(f, p)
+    t_hi = horizon(t_end, f)
     x0 = float(x0)
     dx = 2.0 * (p.f_s - p.f_d) / f.K
 
@@ -275,7 +278,8 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
                             position=step.x_next, j=j))
         t, x = step.tau_next, step.x_next
     else:
-        raise RuntimeError(f"quasistatic event cap {max_events} exceeded")
+        raise SolverCapError(f"quasistatic run exceeded {max_events} events "
+                             f"at t={t}")
 
     if sample_times is None:
         sample_times = _default_grid(steps, t_hi)

@@ -1,4 +1,5 @@
 import filecmp
+import functools
 import os
 import subprocess
 import sys
@@ -7,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stickslip import ou_path
+from stickslip import cli, ou_path, simulate_quasistatic
 from stickslip.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_SOLVER,
     main,
     read_trajectory,
 )
@@ -20,18 +22,22 @@ from stickslip.cli import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _pythonpath_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def run(tmp_path, *args):
     return main([str(a) for a in args])
 
 
 def run_module(*args, timeout=60):
     """``python -m stickslip ARGS`` in a fresh interpreter; fails on a hang."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "stickslip",
                            *(str(a) for a in args)],
-                          env=env, capture_output=True, text=True,
+                          env=_pythonpath_env(), capture_output=True, text=True,
                           timeout=timeout)
 
 
@@ -110,6 +116,34 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "th")])
         assert rc == EXIT_OK
         assert (tmp_path / "th.txt").exists()
+
+    @pytest.mark.parametrize("h", ["0.01", "0.3"])
+    def test_euler_caps_at_short_temperature_file(self, tmp_path, h):
+        # the file ends at t = 5, before --t-end: the run stops on the record
+        temps = tmp_path / "T.csv"
+        temps.write_text("0,0.0\n1,0.5\n2,1.5\n3,2.5\n4,2.0\n5,1.0\n")
+        rc = main(["simulate", "--solver", "euler", "--h", h, "--forcing",
+                   "thermal", "--K", "1", "--beta", "1", "--fd", "0.5",
+                   "--fs", "1", "--x0", "0", "--t-end", "20",
+                   "--temps", str(temps), "--out", str(tmp_path / "eu")])
+        assert rc == EXIT_OK
+        t_last = np.loadtxt(tmp_path / "eu.txt")[-1, 0]
+        assert 5.0 - float(h) < t_last <= 5.0
+
+    def test_quasistatic_event_cap_is_solver_error(self, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setattr(cli, "simulate_quasistatic",
+                            functools.partial(simulate_quasistatic, max_events=3))
+        temps = tmp_path / "T.csv"
+        temps.write_text("0,0.0\n10,0.5\n20,1.5\n30,2.5\n40,2.0\n")
+        rc = main(["simulate", "--solver", "quasistatic", "--forcing", "thermal",
+                   "--K", "1", "--beta", "1", "--fd", "0.5", "--fs", "1",
+                   "--x0", "0", "--t-end", "40", "--temps", str(temps),
+                   "--out", str(tmp_path / "th")])
+        assert rc == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "exceeded 3 events" in err
 
     def test_missing_temps_file(self, tmp_path):
         rc = main(["simulate", "--solver", "quasistatic", "--forcing", "thermal",
@@ -285,6 +319,14 @@ class TestModuleEntryPoint:
     def test_bad_flag_is_config_error(self, tmp_path):
         proc = run_module("ou-gen", "--frobnicate", "1", "--out", tmp_path / "p")
         assert proc.returncode == EXIT_CONFIG
+
+    def test_command_line_imports_no_scipy(self):
+        # numpy is the only runtime dependency
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import stickslip.cli, sys; assert 'scipy' not in sys.modules"],
+            env=_pythonpath_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestNonFiniteInput:

@@ -16,7 +16,6 @@ from stickslip import (
     TemperatureSpringForcing,
     constant_temperature,
     dynamic_subphase,
-    dynamic_subphase_generic,
     eval_forcing,
     next_departure,
     ou_path,
@@ -123,13 +122,20 @@ class TestDynamicSubphase:
         assert sub.tau_next == pytest.approx(math.pi, abs=1e-9)
         assert sub.x_next == pytest.approx(-1.0, abs=1e-9)
 
-    def test_generic_agrees_with_quadrature(self):
-        f = TemperatureSpringForcing(K=1.0, beta=0.0, T=constant_temperature(0.0))
-        p = FrictionParams(m=1.0, f_d=0.0, f_s=0.0)
-        s_quad = dynamic_subphase(1.0, 0.0, -1, f, p, self.cfg)
-        s_rk = dynamic_subphase_generic(1.0, 0.0, -1, f, p, self.cfg)
-        assert abs(s_quad.x_next - s_rk.x_next) < 1e-6
-        assert abs(s_quad.tau_next - s_rk.tau_next) < 1e-6
+    def test_harmonic_and_temperature_spring_agree(self):
+        # HarmonicForcing(beta, Om, 0) and a unit temperature spring pulled by
+        # T = cos(Om t) are the same ODE, so the one integrator must agree
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+        for x0, tau, eps, Om in [(6.0, 4.0 * math.acos(0.8), -1, 0.25),
+                                 (-6.24223, 14.8577, 1, 0.25),
+                                 (0.5, 1.0, 1, 0.7)]:
+            harmonic = HarmonicForcing(beta=6.0, Omega=Om, alpha=0.0)
+            spring = TemperatureSpringForcing(
+                K=1.0, beta=6.0, T=AnalyticTemperature(lambda t: np.cos(Om * t)))
+            s_h = dynamic_subphase(x0, tau, eps, harmonic, p, self.cfg)
+            s_t = dynamic_subphase(x0, tau, eps, spring, p, self.cfg)
+            assert abs(s_h.tau_next - s_t.tau_next) < 1e-12
+            assert abs(s_h.x_next - s_t.x_next) < 1e-12
 
     def test_scaled_stiffness_half_period(self):
         f = TemperatureSpringForcing(K=4.0, beta=1.0, T=constant_temperature(1.0))
@@ -141,8 +147,8 @@ class TestDynamicSubphase:
 
     def test_harmonic_slip_matches_oracle(self, harmonic_forcing, harmonic_params):
         tau_half, t1, x1, *_ = _fig_oracle()
-        sub = dynamic_subphase_generic(6.0, tau_half, -1, harmonic_forcing,
-                                       harmonic_params, EngineConfig(t_end=30.0))
+        sub = dynamic_subphase(6.0, tau_half, -1, harmonic_forcing,
+                               harmonic_params, EngineConfig(t_end=30.0))
         assert sub.tau_next == pytest.approx(t1, abs=1e-5)
         assert sub.x_next == pytest.approx(x1, abs=1e-5)
 
@@ -154,8 +160,8 @@ class TestDynamicSubphase:
                        14.0, 15.5, xtol=1e-12)
         assert t_dep == pytest.approx(14.8577, abs=1e-3)
         t2_oracle, x2_oracle = _harmonic_slip_oracle(-6.24223, t_dep, eps=+1)
-        sub = dynamic_subphase_generic(-6.24223, t_dep, 1, harmonic_forcing,
-                                       harmonic_params, EngineConfig(t_end=40.0))
+        sub = dynamic_subphase(-6.24223, t_dep, 1, harmonic_forcing,
+                               harmonic_params, EngineConfig(t_end=40.0))
         assert sub.tau_next == pytest.approx(t2_oracle, abs=1e-5)
         assert sub.tau_next == pytest.approx(25.74, abs=0.05)
         assert sub.x_next == pytest.approx(x2_oracle, abs=1e-5)
@@ -322,16 +328,17 @@ class TestSimulateEvents:
                             EulerConfig(h=h, n_steps=int(26.0 / h)))
         assert abs(ev.x[-1] - eu.x[-1]) < 0.05
 
-    def test_damped_harmonic_against_adaptive_integration(self, harmonic_params):
-        # velocity-dependent damping goes through the generic RK4 path
+    @staticmethod
+    def _check_first_slip_against_adaptive_integration(alpha, Om, p):
+        """The first slip's end against solve_ivp on the signed equation."""
         from scipy.integrate import solve_ivp
-        alpha = 0.05
-        f = HarmonicForcing(beta=6.0, Omega=0.25, alpha=alpha)
-        traj = simulate_events(6.0, f, harmonic_params, EngineConfig(t_end=26.0))
+        f = HarmonicForcing(beta=6.0, Omega=Om, alpha=alpha)
+        traj = simulate_events(6.0, f, p, EngineConfig(t_end=26.0))
         tau_half = traj.events[1].time
+        assert traj.events[1].epsilon == -1
 
         def rhs(t, y):
-            return [y[1], 6.0 * math.cos(0.25 * t) - 2 * alpha * y[1] - y[0] + 1.0]
+            return [y[1], 6.0 * math.cos(Om * t) - 2 * alpha * y[1] - y[0] + 1.0]
 
         def v_zero(t, y):
             return y[1]
@@ -341,6 +348,21 @@ class TestSimulateEvents:
         assert traj.events[2].time == pytest.approx(sol.t_events[0][0], abs=1e-6)
         assert traj.events[2].position == pytest.approx(sol.y_events[0][0][0],
                                                         abs=1e-6)
+
+    def test_damped_harmonic_against_adaptive_integration(self, harmonic_params):
+        # velocity-dependent damping: the underdamped propagator
+        self._check_first_slip_against_adaptive_integration(0.05, 0.25,
+                                                            harmonic_params)
+
+    @pytest.mark.parametrize("alpha, Om", [
+        (1.0, 0.25),  # critically damped: delta^2 = 0
+        (2.0, 0.25),  # overdamped
+        (0.0, 1.0),   # resonant drive
+    ])
+    def test_damping_regimes_against_adaptive_integration(self, harmonic_params,
+                                                          alpha, Om):
+        self._check_first_slip_against_adaptive_integration(alpha, Om,
+                                                            harmonic_params)
 
     def test_damped_harmonic_euler_convergence(self, harmonic_params):
         from stickslip import EulerConfig, simulate_euler
@@ -381,7 +403,5 @@ class TestSimulateEvents:
         assert traj.t[-1] > 9.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(t_end=1.0, quad_points=8)
         with pytest.raises(ValueError):
             EngineConfig(t_end=1.0, root_tol=0.0)

@@ -10,6 +10,7 @@ from stickslip import (
     EventKind,
     FrictionParams,
     SampledTemperature,
+    SolverCapError,
     TemperatureSeries,
     TemperatureSpringForcing,
     admissible_window,
@@ -162,6 +163,11 @@ class TestSimulateQuasistatic:
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         traj = simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0)
         assert np.max(np.abs(np.diff(traj.x))) < 0.15  # no jumps at slips
+
+    def test_event_cap_is_a_solver_error(self):
+        p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
+        with pytest.raises(SolverCapError, match="exceeded 3 events"):
+            simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0, max_events=3)
 
     def test_quasistatic_requires_thermal(self, harmonic_forcing, harmonic_params):
         with pytest.raises(TypeError):
