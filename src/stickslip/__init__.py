@@ -32,8 +32,6 @@ from .model import (
 )
 from .euler import (
     EulerConfig,
-    euler_step_two_coeff,
-    euler_step_unified,
     shrink,
     simulate_euler,
 )

@@ -96,24 +96,18 @@ def write_split_segments(prefix: Path, traj: Trajectory,
                          header: bool = False) -> list[Path]:
     """One file per consecutive same-phase segment, numbered per phase."""
     paths = []
-    counts = {PhaseLabel.STATIC: 0, PhaseLabel.DYNAMIC: 0}
-    tag = {PhaseLabel.STATIC: "s", PhaseLabel.DYNAMIC: "d"}
-    columns = _columns(traj)
-    i = 0
-    n = len(traj)
-    while i < n:
-        phase = traj.phase_at(i)
-        j = i
-        while j < n and traj.phase[j] == traj.phase[i]:
-            j += 1
+    counts = {PhaseLabel.STATIC.value: 0, PhaseLabel.DYNAMIC.value: 0}
+    tag = {PhaseLabel.STATIC.value: "s", PhaseLabel.DYNAMIC.value: "d"}
+    cuts = np.flatnonzero(np.diff(traj.phase)) + 1
+    for start, rows in zip([0, *cuts.tolist()], np.split(_columns(traj), cuts)):
+        phase = int(traj.phase[start])
         counts[phase] += 1
         path = prefix.with_name(f"{prefix.name}_{tag[phase]}{counts[phase]}.txt")
         with open(path, "w") as fh:
             if header:
                 fh.write("# t x v friction b\n")
-            _write_rows(fh, columns[i:j])
+            _write_rows(fh, rows)
         paths.append(path)
-        i = j
     return paths
 
 
@@ -266,7 +260,9 @@ def run_simulate(args) -> int:
     if args.solver == "euler":
         if not args.h:
             raise ConfigError("euler solver requires --h")
-        n_steps = int(round(horizon(args.t_end, forcing) / args.h))
+        # the most steps that stay within the horizon; the relative slack
+        # keeps a whole quotient such as 65/1e-3 whole under rounding
+        n_steps = math.floor(horizon(args.t_end, forcing) / args.h * (1 + 1e-9))
         if n_steps * args.h > forcing.t_max:  # keep the last step on the record
             n_steps -= 1
         cfg = EulerConfig(h=args.h, n_steps=n_steps,

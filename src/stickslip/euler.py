@@ -6,10 +6,10 @@ velocity as the unique solution w of the scalar discrete VI
     forall phi:  (b - m (w - v)/h)(phi - w) + f |w| <= f |phi|,
 
 whose closed form is the soft-threshold (shrink) of the free-flight velocity
-u = v + (h/m) b.  In the unified model (f_d = f_s = f) the threshold is
-(h/m) f throughout.  In the two-coefficient model the stick gate uses f_s
-while the slip magnitude uses f_d: if |u| <= (h/m) f_s the new velocity is 0,
-otherwise w = u - sign(u) * (h/m) f_d.
+u = v + (h/m) b.  One kernel serves both friction models: the stick gate is
+(h/m) f_s and the slip magnitude (h/m) f_d, so if |u| <= (h/m) f_s the new
+velocity is 0, otherwise w = u - sign(u) * (h/m) f_d.  The unified model is
+f_d = f_s, where the kernel is the single-threshold soft threshold.
 """
 
 from __future__ import annotations
@@ -26,16 +26,14 @@ from .model import (
     ForcingModel,
     FrictionParams,
     PhaseLabel,
-    SystemState,
     Trajectory,
     eval_forcing,
+    friction_force,
 )
 
 __all__ = [
     "EulerConfig",
     "shrink",
-    "euler_step_unified",
-    "euler_step_two_coeff",
     "simulate_euler",
 ]
 
@@ -57,39 +55,19 @@ class EulerConfig:
             raise ValueError("record_every must be >= 1")
 
 
-def shrink(u: float, tau: float) -> float:
-    """Soft-threshold: 0 if |u| <= tau, else u - sign(u)*tau.
+def shrink(u: float, gate: float, slip: float) -> float:
+    """Two-threshold soft threshold: 0 if |u| <= gate, else u - sign(u)*slip.
 
-    This is the minimizer of w -> (w - u)^2 / 2 + tau |w|, i.e. the unique
-    solution of the scalar discrete VI step.
+    With gate = (h/m) f_s and slip = (h/m) f_d this is the velocity update of
+    one step.  With gate == slip == tau it is the minimizer of
+    w -> (w - u)^2 / 2 + tau |w|, i.e. the unique solution of the scalar
+    discrete VI step.
     """
-    if tau < 0:
-        raise ValueError("threshold must be nonnegative")
-    if abs(u) <= tau:
+    if not 0.0 <= slip <= gate:
+        raise ValueError("thresholds must satisfy 0 <= slip <= gate")
+    if abs(u) <= gate:
         return 0.0
-    return u - math.copysign(tau, u)
-
-
-def euler_step_unified(state: SystemState, f: ForcingModel, p: FrictionParams,
-                       h: float) -> SystemState:
-    """One step of the unified (f_d = f_s) scheme; forcing frozen at the old state."""
-    b = eval_forcing(f, state.x, state.v, state.t)
-    hm = h / p.m
-    v_new = shrink(state.v + hm * b, hm * p.f_s)
-    return SystemState(state.t + h, state.x + h * state.v, v_new)
-
-
-def euler_step_two_coeff(state: SystemState, f: ForcingModel, p: FrictionParams,
-                         h: float) -> SystemState:
-    """One step of the two-coefficient scheme: gate on f_s, slip magnitude f_d."""
-    b = eval_forcing(f, state.x, state.v, state.t)
-    hm = h / p.m
-    u = state.v + hm * b
-    if abs(u) <= hm * p.f_s:
-        v_new = 0.0
-    else:
-        v_new = u - math.copysign(hm * p.f_d, u)
-    return SystemState(state.t + h, state.x + h * state.v, v_new)
+    return u - math.copysign(slip, u)
 
 
 def simulate_euler(x0: float, f: ForcingModel, p: FrictionParams,
@@ -103,75 +81,59 @@ def simulate_euler(x0: float, f: ForcingModel, p: FrictionParams,
     so its times are accurate to within one step h.
     """
     h, n_steps, every = cfg.h, cfg.n_steps, cfg.record_every
-    m, f_d, f_s = p.m, p.f_d, p.f_s
-    hm = h / m
+    f_s = p.f_s
+    hm = h / p.m
     gate = hm * f_s
-    slip = hm * f_d
-    unified = p.unified
+    slip = hm * p.f_d
+    STATIC, DYNAMIC = PhaseLabel.STATIC.value, PhaseLabel.DYNAMIC.value
 
     n_rec = n_steps // every + 1
     t_arr = np.empty(n_rec)
     x_arr = np.empty(n_rec)
     v_arr = np.empty(n_rec)
-    fr_arr = np.empty(n_rec)
     b_arr = np.empty(n_rec)
     ph_arr = np.empty(n_rec, dtype=np.int8)
 
-    def classify(x, v, b):
-        """Label + friction for a sample from its own fields."""
-        if v == 0.0 and abs(b) <= f_s:
-            return PhaseLabel.STATIC, b
-        if v != 0.0:
-            return PhaseLabel.DYNAMIC, math.copysign(f_d, v)
-        return PhaseLabel.DYNAMIC, min(max(b, -f_d), f_d)
-
     t, x, v = 0.0, float(x0), 0.0
     b = eval_forcing(f, x, v, t)
-    phase, fr = classify(x, v, b)
-    t_arr[0], x_arr[0], v_arr[0], fr_arr[0], b_arr[0], ph_arr[0] = \
-        t, x, v, fr, b, phase.value
+    static = abs(b) <= f_s
+    t_arr[0], x_arr[0], v_arr[0], b_arr[0] = t, x, v, b
+    ph_arr[0] = STATIC if static else DYNAMIC
 
     events = EventLog()
     j = 0
-    if phase is PhaseLabel.STATIC:
+    if static:
         events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x, j=0))
     else:
-        eps = int(math.copysign(1.0, b)) if v == 0.0 else int(math.copysign(1.0, v))
         events.append(Event(time=0.0, kind=EventKind.ENTER_DYNAMIC, position=x,
-                            epsilon=eps, j=0))
-    prev_phase = phase
+                            epsilon=int(math.copysign(1.0, b)), j=0))
+    prev_static = static
 
     rec = 0
     for n in range(1, n_steps + 1):
-        u = v + hm * b
-        if abs(u) <= gate:
-            v_new = 0.0
-        elif unified:
-            v_new = u - math.copysign(gate, u)
-        else:
-            v_new = u - math.copysign(slip, u)
+        v_new = shrink(v + hm * b, gate, slip)
         x = x + h * v
         v = v_new
         t = n * h
         b = eval_forcing(f, x, v, t)
-        phase, fr = classify(x, v, b)
+        static = v == 0.0 and abs(b) <= f_s
 
-        if phase is not prev_phase:
-            if phase is PhaseLabel.DYNAMIC:
-                eps = int(math.copysign(1.0, b)) if b != 0.0 else 1
-                events.append(Event(time=t, kind=EventKind.ENTER_DYNAMIC,
-                                    position=x, epsilon=eps, j=j))
-            else:
+        if static != prev_static:
+            if static:
                 j += 1
                 events.append(Event(time=t, kind=EventKind.ENTER_STATIC,
                                     position=x, j=j))
-            prev_phase = phase
+            else:
+                eps = int(math.copysign(1.0, b)) if b != 0.0 else 1
+                events.append(Event(time=t, kind=EventKind.ENTER_DYNAMIC,
+                                    position=x, epsilon=eps, j=j))
+            prev_static = static
 
         if n % every == 0:
             rec += 1
-            t_arr[rec], x_arr[rec], v_arr[rec] = t, x, v
-            fr_arr[rec], b_arr[rec], ph_arr[rec] = fr, b, phase.value
+            t_arr[rec], x_arr[rec], v_arr[rec], b_arr[rec] = t, x, v, b
+            ph_arr[rec] = STATIC if static else DYNAMIC
 
-    return Trajectory(t=t_arr[:rec + 1], x=x_arr[:rec + 1], v=v_arr[:rec + 1],
-                      friction=fr_arr[:rec + 1], b=b_arr[:rec + 1],
-                      phase=ph_arr[:rec + 1], events=events)
+    return Trajectory(t=t_arr, x=x_arr, v=v_arr,
+                      friction=friction_force(p, v_arr, b_arr, ph_arr),
+                      b=b_arr, phase=ph_arr, events=events)

@@ -33,6 +33,7 @@ from .model import (
     SolverCapError,
     Trajectory,
     eval_forcing,
+    friction_force,
     horizon,
     natural_frequency,
 )
@@ -306,7 +307,7 @@ dynamic_subphase_generic = dynamic_subphase
 # --------------------------------------------------------------------------
 
 class _Recorder:
-    """Accumulates trajectory columns and classifies samples."""
+    """Accumulates trajectory columns; friction by :func:`friction_force`."""
 
     def __init__(self, f: ForcingModel, p: FrictionParams):
         self.f = f
@@ -318,31 +319,17 @@ class _Recorder:
         self.b: list[np.ndarray] = []
         self.ph: list[np.ndarray] = []
 
-    def add_static(self, ts: np.ndarray, level: float):
+    def add(self, ts: np.ndarray, xs: np.ndarray, vs: np.ndarray,
+            phase: PhaseLabel):
         if len(ts) == 0:
             return
-        xs = np.full_like(ts, level)
-        vs = np.zeros_like(ts)
         bs = np.asarray(eval_forcing(self.f, xs, vs, ts), dtype=float)
         self.t.append(ts)
         self.x.append(xs)
         self.v.append(vs)
-        self.fr.append(bs.copy())
+        self.fr.append(friction_force(self.p, vs, bs, phase))
         self.b.append(bs)
-        self.ph.append(np.full(len(ts), PhaseLabel.STATIC.value, dtype=np.int8))
-
-    def add_dynamic(self, ts: np.ndarray, xs: np.ndarray, vs: np.ndarray):
-        if len(ts) == 0:
-            return
-        bs = np.asarray(eval_forcing(self.f, xs, vs, ts), dtype=float)
-        fr = np.where(vs != 0.0, np.sign(vs) * self.p.f_d,
-                      np.clip(bs, -self.p.f_d, self.p.f_d))
-        self.t.append(ts)
-        self.x.append(xs)
-        self.v.append(vs)
-        self.fr.append(fr)
-        self.b.append(bs)
-        self.ph.append(np.full(len(ts), PhaseLabel.DYNAMIC.value, dtype=np.int8))
+        self.ph.append(np.full(len(ts), phase.value, dtype=np.int8))
 
     def build(self, events: EventLog) -> Trajectory:
         cat = lambda chunks: np.concatenate(chunks) if chunks else np.array([])
@@ -380,9 +367,10 @@ def simulate_events(x0: float, f: ForcingModel, p: FrictionParams,
             span_end = min(tau_half, t_hi)
             ts = t + step * np.arange(0, max(1, math.ceil((span_end - t) / step)))
             ts = ts[ts < span_end]
-            rec.add_static(ts, x)
+            rec.add(ts, np.full_like(ts, x), np.zeros_like(ts), PhaseLabel.STATIC)
             if tau_half >= t_hi:
-                rec.add_static(np.array([t_hi]), x)
+                rec.add(np.array([t_hi]), np.array([x]), np.array([0.0]),
+                        PhaseLabel.STATIC)
                 return rec.build(events)
             t = tau_half
         # dynamic phase j starting at time t, position x
@@ -393,10 +381,11 @@ def simulate_events(x0: float, f: ForcingModel, p: FrictionParams,
         while True:
             sub = dynamic_subphase(x, t, eps, f, p, cfg)
             interior = sub.path_t < sub.tau_next
-            rec.add_dynamic(sub.path_t[interior], sub.path_x[interior],
-                            sub.path_v[interior])
+            rec.add(sub.path_t[interior], sub.path_x[interior],
+                    sub.path_v[interior], PhaseLabel.DYNAMIC)
             if sub.truncated:
-                rec.add_dynamic(sub.path_t[-1:], sub.path_x[-1:], sub.path_v[-1:])
+                rec.add(sub.path_t[-1:], sub.path_x[-1:], sub.path_v[-1:],
+                        PhaseLabel.DYNAMIC)
                 return rec.build(events)
             t, x = sub.tau_next, sub.x_next
             k += 1
@@ -404,7 +393,8 @@ def simulate_events(x0: float, f: ForcingModel, p: FrictionParams,
             if abs(b_end) <= p.f_s:
                 break
             if k >= cfg.max_subphases:
-                rec.add_dynamic(np.array([t]), np.array([x]), np.array([0.0]))
+                rec.add(np.array([t]), np.array([x]), np.array([0.0]),
+                        PhaseLabel.DYNAMIC)
                 raise MaxSubphasesError(
                     f"dynamic phase {j} exceeded {cfg.max_subphases} sub-phases "
                     f"at t={t}", partial=rec.build(events))
@@ -416,5 +406,6 @@ def simulate_events(x0: float, f: ForcingModel, p: FrictionParams,
         static = True
         if t >= t_hi:
             break
-    rec.add_static(np.array([min(t, t_hi)]), x)
+    rec.add(np.array([min(t, t_hi)]), np.array([x]), np.array([0.0]),
+            PhaseLabel.STATIC)
     return rec.build(events)

@@ -71,10 +71,6 @@ class FrictionParams:
                 f"got f_d={self.f_d}, f_s={self.f_s}"
             )
 
-    @property
-    def unified(self) -> bool:
-        return self.f_d == self.f_s
-
 
 # --------------------------------------------------------------------------
 # Temperature sources
@@ -438,9 +434,6 @@ class Trajectory:
     def final_state(self) -> SystemState:
         return SystemState(float(self.t[-1]), float(self.x[-1]), float(self.v[-1]))
 
-    def phase_at(self, i: int) -> PhaseLabel:
-        return PhaseLabel(int(self.phase[i]))
-
     def validate(self, p: FrictionParams, b_tol: float = 0.0) -> None:
         """Assert the stick/slip sample invariants from the stored fields.
 
@@ -473,18 +466,27 @@ class SolverCapError(RuntimeError):
 # Friction law
 # --------------------------------------------------------------------------
 
-def friction_force(p: FrictionParams, v: float, b: float, phase: PhaseLabel) -> float:
-    """Friction force transmitted at a sample.
+def friction_force(p: FrictionParams, v, b, phase):
+    """Friction force transmitted at a sample, or element by element at
+    arrays of samples.
 
-    Stick: the equilibrium value b.  Slip with v != 0: sign(v) * f_d.  At an
-    isolated zero-velocity instant inside a slip the force is only defined
-    almost everywhere; report clamp(b, -f_d, f_d), which is bounded and keeps
-    the record physically plausible.
+    ``phase`` is a :class:`PhaseLabel` for every sample, or an array of
+    PhaseLabel values (the int8 ``Trajectory.phase`` column).  Stick: the
+    equilibrium value b; a static sample with v != 0 raises ValueError.
+    Slip with v != 0: sign(v) * f_d.  At an isolated zero-velocity instant
+    inside a slip the force is only defined almost everywhere; report
+    clamp(b, -f_d, f_d), which is bounded and keeps the record physically
+    plausible.  With f_d = f_s this is the subdifferential law of f|x'| on
+    the samples; with f_d < f_s it is Shaw's two-coefficient law.  Scalar
+    input gives a float.
     """
-    if phase is PhaseLabel.STATIC:
-        if v != 0.0:
-            raise ValueError("static phase requires v = 0")
-        return b
-    if v != 0.0:
-        return math.copysign(p.f_d, v)
-    return min(max(b, -p.f_d), p.f_d)
+    code = phase.value if isinstance(phase, PhaseLabel) else np.asarray(phase)
+    static = code == PhaseLabel.STATIC.value
+    v = np.asarray(v, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(static & (v != 0.0)):
+        raise ValueError("static phase requires v = 0")
+    out = np.where(static, b,
+                   np.where(v != 0.0, np.copysign(p.f_d, v),
+                            np.clip(b, -p.f_d, p.f_d)))
+    return float(out) if out.ndim == 0 else out

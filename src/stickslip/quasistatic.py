@@ -32,6 +32,7 @@ from .model import (
     TemperatureSpringForcing,
     Trajectory,
     eval_forcing,
+    friction_force,
     horizon,
     natural_frequency,
 )
@@ -289,11 +290,9 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
     t_arr, x_arr, v_arr, ph_arr = _evaluate(steps, x0, half_period, sample_times,
                                             open_end)
     b_arr = np.asarray(eval_forcing(f, x_arr, v_arr, t_arr), dtype=float)
-    fr_arr = np.where(ph_arr == PhaseLabel.STATIC.value, b_arr,
-                      np.where(v_arr != 0.0, np.sign(v_arr) * p.f_d,
-                               np.clip(b_arr, -p.f_d, p.f_d)))
-    return Trajectory(t=t_arr, x=x_arr, v=v_arr, friction=fr_arr, b=b_arr,
-                      phase=ph_arr, events=events)
+    return Trajectory(t=t_arr, x=x_arr, v=v_arr,
+                      friction=friction_force(p, v_arr, b_arr, ph_arr),
+                      b=b_arr, phase=ph_arr, events=events)
 
 
 def _default_grid(steps: list[QuasistaticStep], t_hi: float) -> np.ndarray:

@@ -117,6 +117,16 @@ class TestSimulateCommand:
         assert rc == EXIT_OK
         assert (tmp_path / "th.txt").exists()
 
+    def test_euler_stops_within_t_end(self, tmp_path):
+        # 26/0.3 is 86.67: the run takes 86 steps and never passes --t-end
+        rc = main(["simulate", "--solver", "euler", "--h", "0.3", "--forcing",
+                   "shaw", "--x0", "6", "--t-end", "26",
+                   "--out", str(tmp_path / "eu")])
+        assert rc == EXIT_OK
+        t = np.loadtxt(tmp_path / "eu.txt")[:, 0]
+        assert len(t) == 87
+        assert t[-1] == 25.8
+
     @pytest.mark.parametrize("h", ["0.01", "0.3"])
     def test_euler_caps_at_short_temperature_file(self, tmp_path, h):
         # the file ends at t = 5, before --t-end: the run stops on the record

@@ -11,24 +11,28 @@ from stickslip import (
     FrictionParams,
     HarmonicForcing,
     PhaseLabel,
-    SystemState,
     TemperatureSpringForcing,
     constant_temperature,
-    euler_step_two_coeff,
-    euler_step_unified,
     eval_forcing,
     shrink,
     simulate_euler,
 )
 
 
+def _soft_threshold(u, tau):
+    """The single-threshold soft threshold, written out independently."""
+    if abs(u) <= tau:
+        return 0.0
+    return u - math.copysign(tau, u)
+
+
 class TestShrink:
     def test_inside_threshold(self):
-        assert shrink(0.5, 1.0) == 0.0
+        assert shrink(0.5, 1.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("u,tau,expected", [(2.0, 1.0, 1.0), (-3.0, 1.0, -2.0)])
     def test_outside_threshold_with_grid_oracle(self, u, tau, expected):
-        w = shrink(u, tau)
+        w = shrink(u, tau, tau)
         assert w == expected
         # w solves the scalar VI: residual nonpositive on a dense grid
         phis = np.arange(-10.0, 10.0 + 1e-9, 1e-3)
@@ -37,99 +41,107 @@ class TestShrink:
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            shrink(1.0, -0.1)
+            shrink(1.0, -0.1, -0.1)
+
+    def test_slip_above_gate_rejected(self):
+        with pytest.raises(ValueError):
+            shrink(1.0, 1.0, 1.1)
 
     def test_brute_force_minimizer(self):
-        # shrink(u, (h/m) f) minimizes (m/2h)(w-u)^2 + f|w| on a fine grid
+        # shrink(u, tau, tau), tau = (h/m) f, minimizes (m/2h)(w-u)^2 + f|w|
+        # on a fine grid
         for u, f, h, m in [(2.0, 1.0, 0.1, 1.0), (-1.5, 0.7, 0.05, 2.0),
                            (0.3, 2.0, 0.02, 0.5)]:
             tau = h * f / m
             grid = np.arange(min(0.0, u) - 1e-3, max(0.0, u) + 1e-3, 1e-6)
             vals = (m / (2 * h)) * (grid - u) ** 2 + f * np.abs(grid)
             w_brute = grid[np.argmin(vals)]
-            assert abs(shrink(u, tau) - w_brute) <= 2e-6
+            assert abs(shrink(u, tau, tau) - w_brute) <= 2e-6
 
     @given(u=st.floats(-1e3, 1e3), tau=st.floats(0, 1e3))
     def test_odd_and_thresholdless(self, u, tau):
-        assert shrink(-u, tau) == -shrink(u, tau)
-        assert shrink(u, 0.0) == u
+        assert shrink(-u, tau, tau) == -shrink(u, tau, tau)
+        assert shrink(u, 0.0, 0.0) == u
 
     @given(u1=st.floats(-100, 100), u2=st.floats(-100, 100),
            tau=st.floats(0, 100))
     def test_lipschitz(self, u1, u2, tau):
-        assert abs(shrink(u1, tau) - shrink(u2, tau)) <= abs(u1 - u2) * (1 + 1e-12)
+        assert abs(shrink(u1, tau, tau) - shrink(u2, tau, tau)) \
+            <= abs(u1 - u2) * (1 + 1e-12)
+
 
 
 def _const_forcing(b_value):
-    """Forcing with b identically b_value (K=1, beta=b_value, T=1, x offset 0)."""
+    """Forcing with b identically b_value at x = 0 (K=1, beta=b_value, T=1)."""
     return TemperatureSpringForcing(K=1.0, beta=float(b_value),
                                     T=constant_temperature(1.0))
+
+
+def _one_step(x0, b_value, p, h):
+    """(t, x, v) after one simulate_euler step from rest at x0."""
+    traj = simulate_euler(x0, _const_forcing(b_value), p,
+                          EulerConfig(h=h, n_steps=1))
+    return traj.t[-1], traj.x[-1], traj.v[-1]
+
+
+def _velocity_step(v, b, p, h):
+    """The kernel's velocity update from v under applied force b."""
+    hm = h / p.m
+    return shrink(v + hm * b, hm * p.f_s, hm * p.f_d)
 
 
 class TestEulerSteps:
     def test_unified_stick(self):
         p = FrictionParams(m=1.0, f_d=1.2, f_s=1.2)
-        s = euler_step_unified(SystemState(0.0, 0.0, 0.0), _const_forcing(0.9),
-                               p, 0.01)
-        assert s.v == 0.0 and s.x == 0.0 and s.t == 0.01
+        t, x, v = _one_step(0.0, 0.9, p, 0.01)
+        assert v == 0.0 and x == 0.0 and t == 0.01
 
     def test_unified_slip(self):
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.0)
-        s = euler_step_unified(SystemState(0.0, 0.0, 0.0), _const_forcing(2.0),
-                               p, 0.01)
-        assert s.v == pytest.approx(0.01, abs=1e-15)
+        t, x, v = _one_step(0.0, 2.0, p, 0.01)
+        assert v == pytest.approx(0.01, abs=1e-15)
+        assert x == 0.0  # position advances with the old velocity
 
     def test_rest_equilibrium(self):
         p = FrictionParams(m=1.0, f_d=0.3, f_s=0.3)
-        s = euler_step_unified(SystemState(0.0, 1.0, 0.0), _const_forcing(1.0),
-                               p, 0.01)
         # b = 1*(1 - 1) = 0 at x=1
-        assert s.v == 0.0 and s.x == 1.0
+        t, x, v = _one_step(1.0, 1.0, p, 0.01)
+        assert v == 0.0 and x == 1.0
 
     def test_two_coeff_gate_holds(self):
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        s = euler_step_two_coeff(SystemState(0.0, 0.0, 0.0), _const_forcing(1.1),
-                                 p, 0.01)
-        assert s.v == 0.0
+        assert _one_step(0.0, 1.1, p, 0.01)[2] == 0.0
 
     def test_two_coeff_gate_fails_slips_with_fd(self):
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        s = euler_step_two_coeff(SystemState(0.0, 0.0, 0.0), _const_forcing(1.3),
-                                 p, 0.01)
-        assert s.v == pytest.approx(0.003, abs=1e-15)
+        assert _one_step(0.0, 1.3, p, 0.01)[2] == pytest.approx(0.003, abs=1e-15)
 
     def test_two_coeff_moving(self):
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        s = euler_step_two_coeff(SystemState(0.0, 0.0, 0.5), _const_forcing(0.0),
-                                 p, 0.01)
-        assert s.v == pytest.approx(0.49, abs=1e-15)
+        assert _velocity_step(0.5, 0.0, p, 0.01) == pytest.approx(0.49, abs=1e-15)
 
     def test_gate_tie_sticks(self):
         # |u| exactly at the gate resolves to stick (nonstrict comparison)
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        s = euler_step_two_coeff(SystemState(0.0, 0.0, 0.0), _const_forcing(1.2),
-                                 p, 0.01)
-        assert s.v == 0.0
+        assert _one_step(0.0, 1.2, p, 0.01)[2] == 0.0
 
-    @given(v=st.floats(-2, 2), x=st.floats(-2, 2), f=st.floats(0, 2),
-           h=st.sampled_from([1e-3, 1e-2, 1e-1]), m=st.floats(0.5, 2))
-    def test_unified_equals_degenerate_two_coeff(self, v, x, f, h, m):
-        p = FrictionParams(m=m, f_d=f, f_s=f)
-        forcing = _const_forcing(1.7)
-        state = SystemState(0.0, x, v)
-        s1 = euler_step_unified(state, forcing, p, h)
-        s2 = euler_step_two_coeff(state, forcing, p, h)
-        assert s1 == s2  # bit-identical states
+    @given(u=st.floats(-1e3, 1e3), tau=st.floats(0, 1e3))
+    def test_unified_equals_degenerate_two_coeff(self, u, tau):
+        # the kernel with gate == slip is the single-threshold soft threshold
+        w = shrink(u, tau, tau)
+        expect = _soft_threshold(u, tau)
+        assert w == expect
+        assert math.copysign(1.0, w) == math.copysign(1.0, expect)  # bit for bit
 
     @settings(max_examples=200)
     @given(v=st.floats(-2, 2), b=st.floats(-3, 3), h=st.sampled_from([0.01, 0.1]),
            m=st.floats(0.5, 2), f_d=st.floats(0, 2), gap=st.floats(0, 1))
     def test_discrete_vi_residual(self, v, b, h, m, f_d, gap):
         p = FrictionParams(m=m, f_d=f_d, f_s=f_d + gap)
-        s = euler_step_two_coeff(SystemState(0.0, 0.0, v), _const_forcing(b), p, h)
+        v_new = _velocity_step(v, b, p, h)
         phis = np.linspace(-3, 3, 501)
-        f_eff = p.f_s if s.v == 0.0 else p.f_d
-        res = vi_residual(v, s.v, b, f_eff, h, m, phis)
+        f_eff = p.f_s if v_new == 0.0 else p.f_d
+        res = vi_residual(v, v_new, b, f_eff, h, m, phis)
         assert res.max() <= 1e-12
 
 

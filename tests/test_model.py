@@ -26,8 +26,8 @@ from stickslip.model import SampledTemperature, TemperatureDomainError
 class TestFrictionParams:
     def test_valid(self):
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        assert not p.unified
-        assert FrictionParams(m=2.0, f_d=0.5, f_s=0.5).unified
+        assert (p.m, p.f_d, p.f_s) == (1.0, 1.0, 1.2)
+        FrictionParams(m=2.0, f_d=0.5, f_s=0.5)  # the unified model is valid
 
     @pytest.mark.parametrize("m,fd,fs", [(0.0, 1, 1), (-1, 1, 1), (1, -0.1, 1),
                                          (1, 1.3, 1.2)])
@@ -111,6 +111,33 @@ class TestFrictionForce:
         for reported in (-1.0, 0.0, 0.9, 1.0):
             assert abs(reported) <= self.p.f_s
             assert np.all(res <= 1e-15)  # residual independent of the report
+
+    def test_arrays_match_the_scalar_cases(self):
+        # the scalar cases above, as one array call per phase and one mixed
+        S, D = PhaseLabel.STATIC.value, PhaseLabel.DYNAMIC.value
+        cases = [(0.0, 0.9, S, 0.9), (-2.0, 0.0, D, -1.0), (3.0, -5.0, D, 1.0),
+                 (0.0, 3.0, D, 1.0), (0.0, -3.0, D, -1.0), (0.0, 0.4, D, 0.4)]
+        v, b, phase, expect = (np.array(col) for col in zip(*cases))
+        out = friction_force(self.p, v, b, phase.astype(np.int8))
+        assert isinstance(out, np.ndarray)
+        assert np.array_equal(out, expect)
+        dyn = phase == D
+        assert np.array_equal(
+            friction_force(self.p, v[dyn], b[dyn], PhaseLabel.DYNAMIC), expect[dyn])
+        assert np.array_equal(
+            friction_force(self.p, np.zeros(2), np.array([0.9, -1.1]),
+                           PhaseLabel.STATIC), [0.9, -1.1])
+        assert type(friction_force(self.p, 0.0, 3.0, PhaseLabel.DYNAMIC)) is float
+
+    def test_arrays_reject_any_moving_static_sample(self):
+        S, D = PhaseLabel.STATIC.value, PhaseLabel.DYNAMIC.value
+        phase = np.array([S, D, S], dtype=np.int8)
+        with pytest.raises(ValueError, match="static phase requires v = 0"):
+            friction_force(self.p, np.array([0.0, 1.0, 0.1]),
+                           np.array([0.9, 0.9, 0.9]), phase)
+        with pytest.raises(ValueError, match="static phase requires v = 0"):
+            friction_force(self.p, np.array([0.0, 0.1]), np.array([0.9, 0.9]),
+                           PhaseLabel.STATIC)
 
     @given(v=st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6,
                        max_value=1e6),
