@@ -19,7 +19,6 @@ from .model import (
     PhaseLabel,
     SampledTemperature,
     SolverCapError,
-    SystemState,
     TemperatureSeries,
     TemperatureSource,
     TemperatureSpringForcing,
@@ -51,9 +50,6 @@ from .noise import (
     perturbed_temperature,
 )
 from .quasistatic import (
-    QuasistaticStep,
-    admissible_window,
-    quasistatic_step,
     simulate_quasistatic,
     stick_levels_on_grid,
 )

@@ -1,10 +1,10 @@
 """Exact event-driven solver.
 
 The run alternates stick (static) phases with slip (dynamic) phases.  A stick
-at level x_j ends at the first time |b(x_j, t)| exceeds f_s (located by a
-forward scan plus bisection).  A slip decomposes into sub-phases of constant
-velocity sign eps = sign(b) at the sub-phase start; within one sub-phase the
-motion solves the smooth signed ODE
+at level x_j ends at the first time |b(x_j, t)| exceeds f_s, located by
+:func:`next_departure`, the window search the quasistatic model shares.  A
+slip decomposes into sub-phases of constant velocity sign eps = sign(b) at the
+sub-phase start; within one sub-phase the motion solves the smooth signed ODE
 
     m x'' = b(x, x', t) - eps * f_d,   x(tau) = x_jk, x'(tau) = 0,
 
@@ -30,6 +30,7 @@ from .model import (
     ForcingModel,
     FrictionParams,
     PhaseLabel,
+    SampledTemperature,
     SolverCapError,
     Trajectory,
     eval_forcing,
@@ -112,46 +113,71 @@ def _scan_step(f: ForcingModel, p: FrictionParams | None, cfg: EngineConfig) -> 
 # --------------------------------------------------------------------------
 
 def next_departure(x_j: float, tau_j: float, f: ForcingModel, f_s: float,
-                   cfg: EngineConfig) -> float:
+                   cfg: EngineConfig, reenter: bool = False) -> float:
     """First t >= tau_j with |b(x_j, t)| > f_s, or +inf if none before the horizon.
 
-    Forward scan with step ``bracket_dt`` followed by bisection on
-    |b| - f_s down to ``root_tol``.
+    With ``reenter`` it is the first t >= tau_j with |b(x_j, t)| <= f_s
+    instead.  The search scans a grid in chunks of ``_SCAN_CHUNK`` points and
+    stops at the first chunk that holds a hit.  On a sampled temperature the
+    drive is linear between breakpoints, so the grid is the breakpoints and
+    the root is the linear crossing of the window edge |beta*T - x_j| = f_s/K:
+    exact on the interpolant, also where one segment jumps across the whole
+    window.  Any other forcing is scanned with step ``bracket_dt`` and the
+    root bisected down to ``root_tol``.
     """
     t_hi = horizon(cfg.t_end, f)
     if tau_j >= t_hi:
         return math.inf
-    step = _scan_step(f, None, cfg)
+    linear = isinstance(getattr(f, "T", None), SampledTemperature)
+    if linear:
+        # the window in displacement units, as the stick-level lattice reads it
+        knots = f.T.series.times
+        first = int(np.searchsorted(knots, tau_j, side="right"))
+        grid = lambda c: knots[first + c * _SCAN_CHUNK:first + (c + 1) * _SCAN_CHUNK]
+        signed = lambda ts: f.beta * f.T.at(ts) - x_j
+        width = f_s / f.K
+    else:
+        step = _scan_step(f, None, cfg)
+        grid = lambda c: tau_j + step * np.arange(c * _SCAN_CHUNK + 1,
+                                                  (c + 1) * _SCAN_CHUNK + 1)
+        signed = lambda ts: eval_forcing(f, x_j, 0.0, ts)
+        width = f_s
 
-    def excess(ts):
-        return np.abs(eval_forcing(f, x_j, 0.0, ts)) - f_s
-
-    t_prev = tau_j
-    i = 1
-    while t_prev < t_hi:
-        ts = tau_j + step * np.arange(i, i + _SCAN_CHUNK)
-        ts = ts[ts <= t_hi]
-        last_chunk = len(ts) < _SCAN_CHUNK
-        if last_chunk and (len(ts) == 0 or ts[-1] < t_hi):
+    t_prev, s_prev = tau_j, signed(tau_j)
+    if (abs(s_prev) <= width) == reenter:
+        return tau_j
+    # a re-entry starts outside on one side, and every point before the hit
+    # stays there: the hit is the first point at or past the near edge
+    side = 1.0 if s_prev > 0 else -1.0
+    hit = (lambda s: side * s <= width) if reenter else (lambda s: np.abs(s) > width)
+    c = 0
+    while True:
+        ts = grid(c)
+        ts = ts[ts < t_hi]
+        last = len(ts) < _SCAN_CHUNK
+        if last:
             ts = np.append(ts, t_hi)
-        g = excess(ts)
-        hit = np.nonzero(g > 0)[0]
-        if len(hit):
-            k = hit[0]
-            lo = t_prev if k == 0 else ts[k - 1]
-            hi = ts[k]
-            while hi - lo > cfg.root_tol:
-                mid = 0.5 * (lo + hi)
-                if excess(mid) > 0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-        t_prev = ts[-1]
-        i += _SCAN_CHUNK
-        if last_chunk:
+        s = signed(ts)
+        k = np.flatnonzero(hit(s))
+        if len(k):
             break
-    return math.inf
+        if last:
+            return math.inf
+        t_prev, s_prev = ts[-1], s[-1]
+        c += 1
+    k = k[0]
+    lo, s_lo = (t_prev, s_prev) if k == 0 else (ts[k - 1], s[k - 1])
+    hi, s_hi = ts[k], s[k]
+    if linear:
+        edge = width * (side if reenter else (1.0 if s_hi > 0 else -1.0))
+        return float(lo + (edge - s_lo) * (hi - lo) / (s_hi - s_lo))
+    while hi - lo > cfg.root_tol:
+        mid = 0.5 * (lo + hi)
+        if hit(signed(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 # --------------------------------------------------------------------------

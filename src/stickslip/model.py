@@ -31,7 +31,6 @@ __all__ = [
     "PerturbedTemperature",
     "TemperatureSeries",
     "TemperatureSource",
-    "SystemState",
     "PhaseLabel",
     "EventKind",
     "Event",
@@ -175,6 +174,8 @@ class PerturbedTemperature:
     noise_values: np.ndarray
     dt: float
     rho: float
+    # the noise grid, built once: solvers read it per stick and per sub-phase
+    breakpoints: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -182,18 +183,14 @@ class PerturbedTemperature:
         )
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        object.__setattr__(self, "breakpoints", None if self.rho == 0.0
+                           else self.dt * np.arange(len(self.noise_values)))
 
     @property
     def t_max(self) -> float:
         if self.rho == 0.0:
             return math.inf
         return (len(self.noise_values) - 1) * self.dt
-
-    @property
-    def breakpoints(self) -> np.ndarray | None:
-        if self.rho == 0.0:
-            return None
-        return self.dt * np.arange(len(self.noise_values))
 
     def at(self, t):
         base = self.base(np.asarray(t, dtype=float) if not np.isscalar(t) else t)
@@ -306,19 +303,8 @@ def horizon(t_end: float, domain) -> float:
 
 
 # --------------------------------------------------------------------------
-# States, phases, events
+# Phases and events
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SystemState:
-    t: float
-    x: float
-    v: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.x) and math.isfinite(self.v)):
-            raise ValueError(f"non-finite state ({self.t}, {self.x}, {self.v})")
-
 
 class PhaseLabel(Enum):
     STATIC = 0
@@ -430,9 +416,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def final_state(self) -> SystemState:
-        return SystemState(float(self.t[-1]), float(self.x[-1]), float(self.v[-1]))
 
     def validate(self, p: FrictionParams, b_tol: float = 0.0) -> None:
         """Assert the stick/slip sample invariants from the stored fields.

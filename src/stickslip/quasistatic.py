@@ -17,17 +17,16 @@ against measured displacement/temperature records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .events import EngineConfig, next_departure
 from .model import (
     Event,
     EventKind,
     EventLog,
     FrictionParams,
     PhaseLabel,
-    SampledTemperature,
     SolverCapError,
     TemperatureSpringForcing,
     Trajectory,
@@ -38,197 +37,23 @@ from .model import (
 )
 
 __all__ = [
-    "QuasistaticStep",
-    "quasistatic_step",
     "simulate_quasistatic",
-    "admissible_window",
     "stick_levels_on_grid",
 ]
-
-
-@dataclass(frozen=True)
-class QuasistaticStep:
-    """One stick-plus-slip cycle of the quasistatic model."""
-
-    tau_j: float
-    x_j: float
-    tau_half: float
-    eps_j: int
-    tau_next: float
-    x_next: float
-
-
-def admissible_window(x0: float, f: float, K: float, beta: float) -> tuple[float, float]:
-    """Temperature interval within which the level x0 remains stuck:
-    [x0/beta - f/(beta*K), x0/beta + f/(beta*K)].
-    """
-    if beta <= 0:
-        raise ValueError("dilatation coefficient beta must be positive")
-    if K <= 0:
-        raise ValueError("stiffness K must be positive")
-    half = f / (beta * K)
-    return (x0 / beta - half, x0 / beta + half)
-
-
-# --------------------------------------------------------------------------
-# Departure search
-# --------------------------------------------------------------------------
-
-def _departure_sampled(series, beta: float, x_j: float, width: float,
-                       tau_j: float, t_end: float) -> float:
-    """Exact inversion of |beta*T(t) - x_j| > width on the linear interpolant."""
-    times = series.times
-    u = beta * series.temps
-    t_hi = horizon(t_end, series)
-    if tau_j >= t_hi:
-        return math.inf
-    # segment containing tau_j
-    i = int(np.searchsorted(times, tau_j, side="right") - 1)
-    i = max(0, min(i, len(times) - 2))
-    t_a = tau_j
-    u_a = beta * series.at(tau_j)
-    while t_a < t_hi:
-        t_b = min(float(times[i + 1]), t_hi)
-        u_b = u[i + 1] if t_b == times[i + 1] else beta * series.at(t_b)
-        d_a, d_b = u_a - x_j, u_b - x_j
-        if d_a > width or d_a < -width:
-            return t_a
-        candidates = []
-        if d_b > width:  # upward crossing inside the segment
-            candidates.append(t_a + (width - d_a) * (t_b - t_a) / (d_b - d_a))
-        if d_b < -width:
-            candidates.append(t_a + (-width - d_a) * (t_b - t_a) / (d_b - d_a))
-        if candidates:
-            return min(candidates)
-        i += 1
-        if i >= len(times) - 1:
-            break
-        t_a, u_a = t_b, u_b
-    return math.inf
-
-
-def _departure_scan(f: TemperatureSpringForcing, x_j: float, width_b: float,
-                    tau_j: float, t_end: float, scan_dt: float) -> float:
-    """Scan + bisection for |b(x_j, t)| > width_b on an arbitrary source."""
-    t_hi = horizon(t_end, f)
-    if tau_j >= t_hi:
-        return math.inf
-
-    def excess(ts):
-        return np.abs(eval_forcing(f, x_j, 0.0, ts)) - width_b
-
-    n = max(1, math.ceil((t_hi - tau_j) / scan_dt))
-    ts = np.minimum(tau_j + scan_dt * np.arange(1, n + 1), t_hi)
-    g = excess(ts)
-    hit = np.nonzero(g > 0)[0]
-    if len(hit) == 0:
-        return math.inf
-    k = hit[0]
-    lo = tau_j if k == 0 else float(ts[k - 1])
-    hi = float(ts[k])
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def quasistatic_step(x_j: float, tau_j: float, f: TemperatureSpringForcing,
-                     p: FrictionParams, t_end: float,
-                     scan_dt: float | None = None) -> QuasistaticStep | None:
-    """Advance one stick-plus-slip cycle; None when the stick never ends.
-
-    Sampled temperature sources are inverted per segment (exact on the
-    interpolant); other sources are scanned at ``scan_dt`` (default: horizon
-    divided by 4096, capped by the noise grid when present) and bisected.
-    """
-    if not isinstance(f, TemperatureSpringForcing):
-        raise TypeError("quasistatic model requires temperature-spring forcing")
-    # If the departure condition already holds at tau_j (fast excitation, or a
-    # slip that landed outside the window), the next slip starts immediately.
-    width = p.f_s / f.K
-    if isinstance(f.T, SampledTemperature):
-        tau_half = _departure_sampled(f.T.series, f.beta, x_j, width, tau_j, t_end)
-    else:
-        if scan_dt is None:
-            scan_dt = (horizon(t_end, f) - tau_j) / 4096.0
-            breaks = f.T.breakpoints
-            if breaks is not None and len(breaks) > 1:
-                scan_dt = min(scan_dt, float(breaks[1] - breaks[0]))
-        tau_half = _departure_scan(f, x_j, p.f_s, tau_j, t_end, scan_dt)
-    if not tau_half < t_end:
-        return None
-    eps = 1 if f.beta * f.T.at(tau_half) - x_j >= 0 else -1
-    omega_n = natural_frequency(f, p)
-    return QuasistaticStep(
-        tau_j=tau_j,
-        x_j=x_j,
-        tau_half=tau_half,
-        eps_j=eps,
-        tau_next=tau_half + math.pi / omega_n,
-        x_next=x_j + 2.0 * eps * (p.f_s - p.f_d) / f.K,
-    )
 
 
 # --------------------------------------------------------------------------
 # Full staircase simulation
 # --------------------------------------------------------------------------
 
-def _reentry_time(f: TemperatureSpringForcing, x: float, p: FrictionParams,
-                  t_from: float, t_end: float) -> float:
-    """First t >= t_from with |b(x, t)| <= f_s (equal-threshold chatter collapse)."""
-    t_hi = horizon(t_end, f)
-    if isinstance(f.T, SampledTemperature):
-        series = f.T.series
-        times = series.times
-        t_a = t_from
-        i = max(0, min(int(np.searchsorted(times, t_from, side="right") - 1),
-                       len(times) - 2))
-        width = p.f_s / f.K
-        u_a = f.beta * series.at(min(t_a, t_hi))
-        while t_a < t_hi:
-            t_b = min(float(times[i + 1]), t_hi)
-            u_b = f.beta * series.at(t_b)
-            d_a, d_b = u_a - x, u_b - x
-            if abs(d_a) <= width:
-                return t_a
-            if abs(d_b) <= width or (d_a > width) != (d_b > width):
-                # linear crossing back into the window
-                target = width if d_a > width else -width
-                return t_a + (target - d_a) * (t_b - t_a) / (d_b - d_a)
-            i += 1
-            if i >= len(times) - 1:
-                break
-            t_a, u_a = t_b, u_b
-        return math.inf
-    scan_dt = (t_hi - t_from) / 4096.0 if t_end > t_from else 1.0
-    n = max(1, math.ceil((t_hi - t_from) / scan_dt))
-    ts = np.minimum(t_from + scan_dt * np.arange(0, n + 1), t_hi)
-    g = np.abs(eval_forcing(f, x, 0.0, ts)) - p.f_s
-    hit = np.nonzero(g <= 0)[0]
-    if len(hit) == 0:
-        return math.inf
-    k = hit[0]
-    if k == 0:
-        return t_from
-    lo, hi = float(ts[k - 1]), float(ts[k])
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if abs(eval_forcing(f, x, 0.0, mid)) - p.f_s <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
                          t_end: float, sample_times: np.ndarray | None = None,
                          max_events: int = 200_000) -> Trajectory:
     """Iterate quasistatic cycles and emit the staircase trajectory.
 
-    The displacement is piecewise constant at the stick levels x0 + k*dx,
+    Each stick ends, and each equal-threshold slip re-enters the window, where
+    the event engine's :func:`next_departure` finds it, so on the same input
+    both engines find the same first departure.  The displacement is piecewise constant at the stick levels x0 + k*dx,
     dx = 2(f_s - f_d)/K, the same lattice :func:`stick_levels_on_grid` reads
     at the sample times; each slip is
     rendered as the half-cosine arc between consecutive levels so the record
@@ -244,72 +69,74 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
         raise TypeError("quasistatic model requires temperature-spring forcing")
     half_period = math.pi / natural_frequency(f, p)
     t_hi = horizon(t_end, f)
+    cfg = EngineConfig(t_end=t_hi)
     x0 = float(x0)
     dx = 2.0 * (p.f_s - p.f_d) / f.K
 
-    # cycle bookkeeping: (tau_j, x_j, tau_half, eps, tau_next, x_next)
-    steps: list[QuasistaticStep] = []
+    # cycle i: the stick at levels[i] ends at tau_half[i], and the slip lands
+    # at levels[i + 1] at tau_next[i]
+    tau_half, tau_next, levels = [], [], [x0]
     events = EventLog()
     events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x0, j=0))
     t, x = 0.0, x0
     k = 0  # lattice index of the stick level x0 + k*dx
-    j = 0
     open_end = False
     while len(events) < max_events:
-        step = quasistatic_step(x, t, f, p, t_hi)
-        if step is None:
+        # the departure holds at t already when the slip landed outside the window
+        depart = next_departure(x, t, f, p.f_s, cfg)
+        if not depart < t_hi:
             break
-        if dx > 0.0:
-            k += step.eps_j
-            step = replace(step, x_next=x0 + k * dx)
-        else:
+        eps = 1 if f.beta * f.T.at(depart) - x >= 0 else -1
+        k += eps
+        land = depart + half_period
+        if dx == 0.0:
             # zero-displacement slip: collapse the chatter into one span
             # lasting until the temperature re-enters the admissible window
-            reentry = _reentry_time(f, x, p, step.tau_next, t_hi)
-            slip_end = t_hi if math.isinf(reentry) else max(step.tau_next, reentry)
-            step = replace(step, tau_next=min(slip_end, t_hi))
-        steps.append(step)
-        events.append(Event(time=step.tau_half, kind=EventKind.ENTER_DYNAMIC,
-                            position=step.x_j, epsilon=step.eps_j, j=j))
-        j += 1
-        if step.tau_next >= t_hi:
+            reentry = next_departure(x, land, f, p.f_s, cfg, reenter=True)
+            land = min(max(land, reentry), t_hi)
+        events.append(Event(time=depart, kind=EventKind.ENTER_DYNAMIC,
+                            position=x, epsilon=eps, j=len(tau_half)))
+        tau_half.append(depart)
+        tau_next.append(land)
+        levels.append(x0 + k * dx)
+        if land >= t_hi:
             open_end = True
             break
-        events.append(Event(time=step.tau_next, kind=EventKind.ENTER_STATIC,
-                            position=step.x_next, j=j))
-        t, x = step.tau_next, step.x_next
+        events.append(Event(time=land, kind=EventKind.ENTER_STATIC,
+                            position=levels[-1], j=len(tau_half)))
+        t, x = land, levels[-1]
     else:
         raise SolverCapError(f"quasistatic run exceeded {max_events} events "
                              f"at t={t}")
 
+    tau_half, tau_next = np.array(tau_half), np.array(tau_next)
     if sample_times is None:
-        sample_times = _default_grid(steps, t_hi)
+        sample_times = _default_grid(tau_half, tau_next, t_hi)
     else:
         sample_times = np.asarray(sample_times, dtype=float)
 
-    t_arr, x_arr, v_arr, ph_arr = _evaluate(steps, x0, half_period, sample_times,
-                                            open_end)
-    b_arr = np.asarray(eval_forcing(f, x_arr, v_arr, t_arr), dtype=float)
-    return Trajectory(t=t_arr, x=x_arr, v=v_arr,
+    x_arr, v_arr, ph_arr = _evaluate(tau_half, tau_next, np.array(levels),
+                                     half_period, sample_times, open_end)
+    b_arr = np.asarray(eval_forcing(f, x_arr, v_arr, sample_times), dtype=float)
+    return Trajectory(t=sample_times, x=x_arr, v=v_arr,
                       friction=friction_force(p, v_arr, b_arr, ph_arr),
                       b=b_arr, phase=ph_arr, events=events)
 
 
-def _default_grid(steps: list[QuasistaticStep], t_hi: float) -> np.ndarray:
+def _default_grid(tau_half: np.ndarray, tau_next: np.ndarray,
+                  t_hi: float) -> np.ndarray:
     """Stick endpoints plus a short arc rendering per slip."""
     pieces = [np.array([0.0])]
     coarse = max(t_hi / 2048.0, 1e-9)
     prev_end = 0.0
-    for s in steps:
-        span = s.tau_half - prev_end
+    for depart, land in zip(tau_half.tolist(), tau_next.tolist()):
+        span = depart - prev_end
         n = max(2, min(512, math.ceil(span / coarse)) + 1)
-        pieces.append(np.linspace(prev_end, s.tau_half, n)[1:])
-        arc_end = min(s.tau_next, t_hi)
-        if arc_end > s.tau_half:
-            pieces.append(np.linspace(s.tau_half, arc_end, 33)[1:])
+        pieces.append(np.linspace(prev_end, depart, n)[1:])
+        arc_end = min(land, t_hi)
+        if arc_end > depart:
+            pieces.append(np.linspace(depart, arc_end, 33)[1:])
         prev_end = arc_end
-        if prev_end >= t_hi:
-            break
     if prev_end < t_hi:
         span = t_hi - prev_end
         n = max(2, min(2048, math.ceil(span / coarse)) + 1)
@@ -317,34 +144,34 @@ def _default_grid(steps: list[QuasistaticStep], t_hi: float) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _evaluate(steps: list[QuasistaticStep], x0: float, half_period: float,
-              ts: np.ndarray, open_end: bool):
+def _evaluate(tau_half: np.ndarray, tau_next: np.ndarray, levels: np.ndarray,
+              half_period: float, ts: np.ndarray, open_end: bool):
     """Displacement, velocity and phase of the staircase at times ``ts``.
 
-    ``open_end`` marks a final slip truncated by the horizon: its samples
-    stay dynamic through the closing endpoint.
+    Cycle i holds levels[i] until tau_half[i], slips on a half-cosine arc
+    until tau_next[i] and then holds levels[i + 1].  ``open_end`` marks a
+    final slip truncated by the horizon: its samples stay dynamic through the
+    closing endpoint.
     """
-    x_out = np.full_like(ts, float(x0))
+    i = np.searchsorted(tau_half, ts, side="right") - 1  # last cycle begun
+    begun = i >= 0
+    c = np.maximum(i, 0)
+    end = np.append(tau_next, math.inf)[c]  # the pad serves a run without slips
+    unfinished = open_end & (i == len(tau_half) - 1)
+    arc = begun & ((ts < end) | (unfinished & (ts == end)))
+    x_out = levels[c + (begun & ~unfinished & (ts >= end))]
     v_out = np.zeros_like(ts)
-    ph_out = np.full(len(ts), PhaseLabel.STATIC.value, dtype=np.int8)
+    ca = c[arc]
+    mid = 0.5 * (levels[ca] + levels[ca + 1])
+    amp = levels[ca] - mid
     omega_n = math.pi / half_period
-    for idx, s in enumerate(steps):
-        unfinished = open_end and idx == len(steps) - 1
-        arc = (ts >= s.tau_half) & ((ts <= s.tau_next) if unfinished
-                                    else (ts < s.tau_next))
-        after = ts >= s.tau_next
-        if np.any(arc):
-            mid = 0.5 * (s.x_j + s.x_next)
-            amp = s.x_j - mid
-            # zero-displacement spans keep v = 0 and hold the level
-            phase_angle = np.minimum(omega_n * (ts[arc] - s.tau_half), math.pi)
-            x_out[arc] = mid + amp * np.cos(phase_angle)
-            v_out[arc] = -amp * omega_n * np.sin(phase_angle)
-            ph_out[arc] = PhaseLabel.DYNAMIC.value
-        if not unfinished:
-            x_out[after] = s.x_next
-            v_out[after] = 0.0
-    return ts, x_out, v_out, ph_out
+    # zero-displacement spans keep v = 0 and hold the level
+    phase_angle = np.minimum(omega_n * (ts[arc] - tau_half[ca]), math.pi)
+    x_out[arc] = mid + amp * np.cos(phase_angle)
+    v_out[arc] = -amp * omega_n * np.sin(phase_angle)
+    ph_out = np.where(arc, PhaseLabel.DYNAMIC.value,
+                      PhaseLabel.STATIC.value).astype(np.int8)
+    return x_out, v_out, ph_out
 
 
 # --------------------------------------------------------------------------

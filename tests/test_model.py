@@ -12,7 +12,6 @@ from stickslip import (
     FrictionParams,
     HarmonicForcing,
     PhaseLabel,
-    SystemState,
     TemperatureSeries,
     TemperatureSpringForcing,
     Trajectory,
@@ -184,10 +183,6 @@ class TestTemperatureSources:
 
 
 class TestStateAndEvents:
-    def test_state_finite(self):
-        with pytest.raises(ValueError):
-            SystemState(0.0, math.nan, 0.0)
-
     def test_event_log_validate(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(1.3))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.3)

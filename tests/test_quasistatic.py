@@ -10,13 +10,14 @@ from stickslip import (
     EventKind,
     FrictionParams,
     SampledTemperature,
+    PhaseLabel,
     SolverCapError,
     TemperatureSeries,
     TemperatureSpringForcing,
-    admissible_window,
     constant_temperature,
+    next_departure,
     ou_path,
-    quasistatic_step,
+    perturbed_temperature,
     simulate_events,
     simulate_quasistatic,
     stick_levels_on_grid,
@@ -45,58 +46,162 @@ def _ramp_forcing(rate=0.1, K=1.0, beta=1.0):
         K=K, beta=beta, T=AnalyticTemperature(lambda t: rate * np.asarray(t)))
 
 
+def _first_cycle(traj):
+    """The first stick-plus-slip cycle: (departure event, landing event)."""
+    dyn = traj.events.of_kind(EventKind.ENTER_DYNAMIC)[0]
+    stats = [e for e in traj.events.of_kind(EventKind.ENTER_STATIC) if e.j == 1]
+    return dyn, (stats[0] if stats else None)
+
+
 class TestQuasistaticStep:
+    """One stick-plus-slip cycle, read from the events of simulate_quasistatic."""
+
     def test_ramp_example(self):
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
-        s = quasistatic_step(0.0, 0.0, _ramp_forcing(), p, 50.0)
-        assert s.tau_half == pytest.approx(10.0, abs=1e-6)
-        assert s.eps_j == 1
-        assert s.x_next == pytest.approx(1.0, abs=1e-12)
-        assert s.tau_next == pytest.approx(10.0 + math.pi, abs=1e-6)
+        dyn, stat = _first_cycle(simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0))
+        assert dyn.time == pytest.approx(10.0, abs=1e-6)
+        assert dyn.epsilon == 1
+        assert stat.position == pytest.approx(1.0, abs=1e-12)
+        assert stat.time == pytest.approx(10.0 + math.pi, abs=1e-6)
 
     def test_equal_coefficients_keep_level(self):
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.0)
-        s = quasistatic_step(0.0, 0.0, _ramp_forcing(), p, 50.0)
-        assert s.x_next == s.x_j == 0.0
+        traj = simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0)
+        dyn, _ = _first_cycle(traj)
+        assert dyn.position == 0.0
+        assert np.all(traj.x == 0.0)
 
     def test_static_forever(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(0.5))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
-        assert quasistatic_step(0.0, 0.0, f, p, 100.0) is None
+        traj = simulate_quasistatic(0.0, f, p, 100.0)
+        assert [e.kind for e in traj.events] == [EventKind.ENTER_STATIC]
+        assert np.all(traj.phase == PhaseLabel.STATIC.value)
 
     def test_sampled_inversion_is_exact(self):
         series = TemperatureSeries(np.array([0.0, 10.0, 20.0]),
                                    np.array([0.0, 2.0, 0.0]))
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=SampledTemperature(series))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
-        s = quasistatic_step(0.0, 0.0, f, p, 20.0)
+        dyn, _ = _first_cycle(simulate_quasistatic(0.0, f, p, 20.0))
         # crossing of 0.2*t = 1.0 on the interpolant
-        assert s.tau_half == pytest.approx(5.0, abs=1e-12)
+        assert dyn.time == pytest.approx(5.0, abs=1e-12)
 
     def test_slip_timing_identity(self):
         p = FrictionParams(m=4.0, f_d=0.5, f_s=1.0)
         f = _ramp_forcing(K=9.0)
-        s = quasistatic_step(0.0, 0.0, f, p, 50.0)
-        assert s.tau_next - s.tau_half == math.pi * math.sqrt(4.0 / 9.0)
+        dyn, stat = _first_cycle(simulate_quasistatic(0.0, f, p, 50.0))
+        assert stat.time - dyn.time == math.pi * math.sqrt(4.0 / 9.0)
+
+
+def _exit_temperatures(x, f_s, K, beta, temperature):
+    """Temperatures at which next_departure ends a stick at x, for the drive
+    rising as ``temperature(t)`` and falling as ``-temperature(t)``."""
+    out = []
+    for sign in (-1.0, 1.0):
+        T = temperature(sign)
+        f = TemperatureSpringForcing(K=K, beta=beta, T=T)
+        t = next_departure(x, 0.0, f, f_s, EngineConfig(t_end=100.0))
+        out.append(T.at(t))
+    return tuple(out)
+
+
+def _sampled_ramp(sign, x=0.0, beta=1.0):
+    # T = x/beta + sign*t/2 on [0, 8]: the stick starts at the window's centre
+    return SampledTemperature(TemperatureSeries(
+        np.array([0.0, 8.0]), np.array([x / beta, x / beta + sign * 4.0])))
+
+
+def _analytic_ramp(sign, x=0.0, beta=1.0):
+    return AnalyticTemperature(lambda t: x / beta + sign * 0.1 * np.asarray(t))
 
 
 class TestAdmissibleWindow:
+    """A stick at x ends where beta*T leaves [x - f_s/K, x + f_s/K]."""
+
     def test_unit_case(self):
-        assert admissible_window(0.0, 1.0, 1.0, 1.0) == (-1.0, 1.0)
+        assert _exit_temperatures(0.0, 1.0, 1.0, 1.0, _sampled_ramp) == (-1.0, 1.0)
 
     def test_shifted(self):
-        lo, hi = admissible_window(2.0, 1.0, 2.0, 1.0)
-        assert (lo, hi) == pytest.approx((1.5, 2.5))
+        for ramp in (_sampled_ramp, _analytic_ramp):
+            lo, hi = _exit_temperatures(2.0, 1.0, 2.0, 1.0, lambda s: ramp(s, 2.0))
+            assert (lo, hi) == pytest.approx((1.5, 2.5))
 
     def test_scaled_beta(self):
-        lo, hi = admissible_window(2.0, 1.0, 1.0, 2.0)
-        assert (lo, hi) == pytest.approx((0.5, 1.5))
+        for ramp in (_sampled_ramp, _analytic_ramp):
+            lo, hi = _exit_temperatures(2.0, 1.0, 1.0, 2.0,
+                                        lambda s: ramp(s, 2.0, 2.0))
+            assert (lo, hi) == pytest.approx((0.5, 1.5))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            admissible_window(0.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            admissible_window(0.0, 1.0, -1.0, 1.0)
+        # the window's stiffness must be positive; beta = 0 is a valid drive
+        for K in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                TemperatureSpringForcing(K=K, beta=1.0, T=constant_temperature(0.0))
+
+
+class TestWindowSearch:
+    def test_cost_is_linear_in_the_horizon(self):
+        class Counting:
+            """A noisy temperature that counts the points it is read at."""
+
+            def __init__(self, source):
+                self.source, self.points = source, 0
+                self.breakpoints, self.t_max = source.breakpoints, source.t_max
+
+            def at(self, t):
+                self.points += np.size(t)
+                return self.source.at(t)
+
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+        points = {}
+        for t_end in (300.0, 3000.0):
+            path = ou_path(int(math.ceil(t_end / 0.01)) + 2, 0.01, 0)
+            T = Counting(perturbed_temperature(0.25, 0.25, path))
+            f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
+            traj = simulate_quasistatic(0.0, f, p, t_end)
+            assert len(traj.events) > 100 * t_end / 300.0
+            points[t_end] = T.points
+        assert points[3000.0] <= 12 * points[300.0]
+
+    @pytest.mark.parametrize("drive", ["ramp", "noisy", "sampled"])
+    def test_first_departure_matches_event_engine(self, drive):
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+        x0, t_end = 6.0, 60.0
+        if drive == "ramp":
+            f = _ramp_forcing()
+            x0 = 0.0
+        elif drive == "noisy":
+            T = perturbed_temperature(0.25, 0.25, ou_path(6002, 0.01, 0))
+            f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
+        else:
+            rng = np.random.default_rng(4)
+            times = np.arange(61.0)
+            series = TemperatureSeries(times, 1.0 + np.cumsum(rng.normal(0, 0.2, 61)))
+            f = TemperatureSpringForcing(K=1.0, beta=6.0, T=SampledTemperature(series))
+            x0 = 6.0 * series.temps[0]
+        first = [traj.events.of_kind(EventKind.ENTER_DYNAMIC)[0].time for traj in
+                 (simulate_quasistatic(x0, f, p, t_end),
+                  simulate_events(x0, f, p, EngineConfig(t_end=t_end)))]
+        assert first[0] > 0.0
+        assert first[0] == first[1]
+
+    def test_reentry_across_the_whole_window(self):
+        # with f_d = f_s the slip at t = 5 lasts until the drive re-enters
+        # [-1, 1]; the segment (20, 2) -> (30, -2) jumps from above the window
+        # to below it between samples and crosses the upper edge at 22.5
+        series = TemperatureSeries(np.array([0.0, 10.0, 20.0, 30.0]),
+                                   np.array([0.0, 2.0, 2.0, -2.0]))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=SampledTemperature(series))
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.0)
+        traj = simulate_quasistatic(0.0, f, p, 30.0)
+        assert [e.kind for e in traj.events] == [
+            EventKind.ENTER_STATIC, EventKind.ENTER_DYNAMIC,
+            EventKind.ENTER_STATIC, EventKind.ENTER_DYNAMIC]
+        assert traj.events.times() == pytest.approx([0.0, 5.0, 22.5, 27.5],
+                                                    abs=1e-12)
+        cfg = EngineConfig(t_end=30.0)
+        assert next_departure(0.0, 12.0, f, 1.0, cfg, reenter=True) == 22.5
 
 
 class TestSimulateQuasistatic:
