@@ -2,18 +2,19 @@
 
 The run alternates stick (static) phases with slip (dynamic) phases.  A stick
 at level x_j ends at the first time |b(x_j, t)| exceeds f_s, located by
-:func:`next_departure`, the window search the quasistatic model shares.  A
+:func:`next_departure`, the window search the quasistatic model shares: a scan
+at the event step and at the forcing's breakpoints, refined by regula falsi.  A
 slip decomposes into sub-phases of constant velocity sign eps = sign(b) at the
 sub-phase start; within one sub-phase the motion solves the smooth signed ODE
 
     m x'' = b(x, x', t) - eps * f_d,   x(tau) = x_jk, x'(tau) = 0,
 
 and the sub-phase ends at the first zero of x'.  For both forcings this ODE
-is linear, m x'' + c x' + k x = g(t) - eps * f_d, and one integrator advances
-its exact 2x2 state propagator, with the drive term taken by Gauss-Legendre
-quadrature on panels split at the temperature breakpoints.  Zero-velocity
-instants are bracketed on the scan grid and refined by bisection to the
-configured root tolerance.
+is linear, m x'' + c x' + k x = g(t) - eps * f_d, and its exact 2x2 propagator
+steps through a chunk of scan points per numpy call, the drive term taken by
+Gauss-Legendre quadrature on panels split at the forcing's breakpoints.  The
+first panel end where x' has stopped brackets the end, and safeguarded Newton
+steps on x' refine it to the configured root tolerance.
 """
 
 from __future__ import annotations
@@ -117,29 +118,36 @@ def next_departure(x_j: float, tau_j: float, f: ForcingModel, f_s: float,
     """First t >= tau_j with |b(x_j, t)| > f_s, or +inf if none before the horizon.
 
     With ``reenter`` it is the first t >= tau_j with |b(x_j, t)| <= f_s
-    instead.  The search scans a grid in chunks of ``_SCAN_CHUNK`` points and
-    stops at the first chunk that holds a hit.  On a sampled temperature the
-    drive is linear between breakpoints, so the grid is the breakpoints and
-    the root is the linear crossing of the window edge |beta*T - x_j| = f_s/K:
-    exact on the interpolant, also where one segment jumps across the whole
-    window.  Any other forcing is scanned with step ``bracket_dt`` and the
-    root bisected down to ``root_tol``.
+    instead.  The search scans a grid in chunks and stops at the first chunk
+    that holds a hit.  On a sampled temperature the drive is linear between
+    breakpoints, so the grid is the breakpoints and the root is the linear
+    crossing of the window edge |beta*T - x_j| = f_s/K: exact on the
+    interpolant, also where one segment jumps across the whole window.  Any
+    other forcing is scanned with step ``bracket_dt`` and at its breakpoints,
+    where a noise path may leave the window and return within one step, and
+    the crossing is refined by :func:`_illinois` to ``root_tol``.
     """
     t_hi = horizon(cfg.t_end, f)
     if tau_j >= t_hi:
         return math.inf
+    knots = f.breakpoints
     linear = isinstance(getattr(f, "T", None), SampledTemperature)
     if linear:
         # the window in displacement units, as the stick-level lattice reads it
-        knots = f.T.series.times
         first = int(np.searchsorted(knots, tau_j, side="right"))
         grid = lambda c: knots[first + c * _SCAN_CHUNK:first + (c + 1) * _SCAN_CHUNK]
         signed = lambda ts: f.beta * f.T.at(ts) - x_j
         width = f_s / f.K
     else:
         step = _scan_step(f, None, cfg)
-        grid = lambda c: tau_j + step * np.arange(c * _SCAN_CHUNK + 1,
-                                                  (c + 1) * _SCAN_CHUNK + 1)
+        n = max(1, int(_SCAN_CHUNK / (1.0 + step * _knot_density(knots))))
+
+        def grid(c):  # n steps and the breakpoints among them
+            ts = tau_j + step * np.arange(c * n + 1, (c + 1) * n + 1)
+            if knots is None:
+                return ts
+            lo, hi = np.searchsorted(knots, (tau_j + step * (c * n), ts[-1]), "right")
+            return np.sort(np.concatenate((ts, knots[lo:hi])))
         signed = lambda ts: eval_forcing(f, x_j, 0.0, ts)
         width = f_s
 
@@ -153,10 +161,9 @@ def next_departure(x_j: float, tau_j: float, f: ForcingModel, f_s: float,
     c = 0
     while True:
         ts = grid(c)
-        ts = ts[ts < t_hi]
-        last = len(ts) < _SCAN_CHUNK
+        last = len(ts) == 0 or ts[-1] >= t_hi
         if last:
-            ts = np.append(ts, t_hi)
+            ts = np.append(ts[ts < t_hi], t_hi)
         s = signed(ts)
         k = np.flatnonzero(hit(s))
         if len(k):
@@ -168,16 +175,35 @@ def next_departure(x_j: float, tau_j: float, f: ForcingModel, f_s: float,
     k = k[0]
     lo, s_lo = (t_prev, s_prev) if k == 0 else (ts[k - 1], s[k - 1])
     hi, s_hi = ts[k], s[k]
+    edge = width * (side if reenter else (1.0 if s_hi > 0 else -1.0))
     if linear:
-        edge = width * (side if reenter else (1.0 if s_hi > 0 else -1.0))
         return float(lo + (edge - s_lo) * (hi - lo) / (s_hi - s_lo))
-    while hi - lo > cfg.root_tol:
-        mid = 0.5 * (lo + hi)
-        if hit(signed(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _illinois(lambda t: signed(t) - edge, lo, hi, s_lo - edge, s_hi - edge,
+                     cfg.root_tol)
+
+
+def _knot_density(knots: np.ndarray | None) -> float:
+    """Mean number of breakpoints per unit time."""
+    return 0.0 if knots is None or len(knots) < 2 else \
+        (len(knots) - 1) / (knots[-1] - knots[0])
+
+
+def _illinois(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
+    """A zero of g, which changes sign between a and b, to within ``tol``:
+    regula falsi, halving the value kept at an end that two steps in a row
+    left in place (the Illinois rule).  A step outside the bracket bisects,
+    and one below tol/4 is pushed tol/2 across the root to close it.  Returns
+    the end nearer g = 0 of a bracket no wider than ``tol``."""
+    while abs(b - a) > tol and gb != 0.0:
+        c = b - gb * (b - a) / (gb - ga)
+        if abs(c - b) < 0.25 * tol:  # converged: probe just past the root
+            c = b + math.copysign(0.5 * tol, a - b)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)
+        gc = g(c)
+        a, ga = (a, 0.5 * ga) if (gc > 0.0) == (gb > 0.0) else (b, gb)
+        b, gb = c, gc
+    return a if abs(ga) < abs(gb) else b
 
 
 # --------------------------------------------------------------------------
@@ -186,10 +212,12 @@ def next_departure(x_j: float, tau_j: float, f: ForcingModel, f_s: float,
 
 _GL_POINTS = 24
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
+_CHUNK_STEPS = 64  # about one natural period at the default scan step
+_CHUNK_NODES = 4096  # caps the quadrature temporaries where breakpoints split panels
 
 
 class _LinearSubphase:
-    """State (x, x') of  m x'' + c x' + k x = g(t) - eps f_d  from an anchor.
+    """Exact steps of  m x'' + c x' + k x = g(t) - eps f_d  for one sub-phase.
 
     Both forcings give this ODE during a slip, with k = ``f.K``,
     c = ``f.damping`` and the drive g(t) = b(0, 0, t).  In first-order form
@@ -199,19 +227,18 @@ class _LinearSubphase:
         E(r) = e^{mu r} [ch(r) I + sh(r) (A - mu I)],
 
     where (ch, sh) is (cos wr, sin(wr)/w) for delta^2 = -w^2 < 0, (cosh wr,
-    sinh(wr)/w) for delta^2 = w^2 > 0 and (1, r) at critical damping.  Then
+    sinh(wr)/w) for delta^2 = w^2 > 0 and (1, r) at critical damping.  Over
+    an interval [t0, t1]
 
-        y(t) = E(t - t0) y0 + int_t0^t E(t - s) e2 (g(s) - eps f_d)/m ds,
+        y(t1) = E(t1 - t0) y(t0) + int_t0^t1 E(t1 - s) e2 (g(s) - eps f_d)/m ds,
 
     with the integral taken by the Gauss-Legendre rule on panels split at the
     forcing's breakpoints: exact on piecewise-linear temperatures, and at
-    machine precision on the smooth drives, resonance included.  ``commit``
-    re-anchors (t0, y0) at a scan point, so no span exceeds one scan step and
-    no e^{mu r} grows over a long sub-phase.
+    machine precision on the smooth drives, resonance included.  No span
+    exceeds one interval, so no e^{mu r} grows over a long sub-phase.
     """
 
-    def __init__(self, f: ForcingModel, p: FrictionParams, eps: int,
-                 t0: float, x0: float):
+    def __init__(self, f: ForcingModel, p: FrictionParams, eps: int):
         self.f = f
         self.inv_m = 1.0 / p.m
         self.eps_fd = eps * p.f_d
@@ -221,11 +248,6 @@ class _LinearSubphase:
         self.w = math.sqrt(abs(self.delta2))
         breaks = f.breakpoints
         self.breaks = None if breaks is None else np.asarray(breaks, dtype=float)
-        self.commit(t0, x0, 0.0)
-
-    def commit(self, t: float, x: float, v: float) -> None:
-        """Re-anchor at a state that :meth:`eval` returned."""
-        self.t0, self.x0, self.v0 = t, x, v
 
     def _ch_sh(self, r: np.ndarray):
         if self.delta2 < 0.0:
@@ -236,29 +258,37 @@ class _LinearSubphase:
             return np.cosh(wr), np.sinh(wr) / self.w
         return np.ones_like(r), r
 
-    def eval(self, t: float) -> tuple[float, float]:
-        """(x, x') at t >= the anchor; does not move the anchor."""
-        t0, x0, v0, mu = self.t0, self.x0, self.v0, self.mu
-        if self.breaks is None:
-            edges = np.array([t0, t])
-        else:
-            lo = np.searchsorted(self.breaks, t0, side="right")
-            hi = np.searchsorted(self.breaks, t, side="left")
-            edges = np.concatenate(([t0], self.breaks[lo:hi], [t]))
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        s = (mids[:, None] + halfs[:, None] * _GL_NODES).ravel()
-        # spans: [0] from the anchor, [1:] from each quadrature node
-        r = np.concatenate(([t - t0], t - s))
+    def steps(self, t0: float, ts: np.ndarray):
+        """Exact steps from t0 through the points ``ts`` and the breakpoints
+        among them, one quadrature batch for all: the panel ends, whether each
+        is a point of ``ts``, and per panel (E11, E12, E21, E22, d_x, d_v),
+        so that the state at its end is E y + d for y the state at its start."""
+        mu, ends, on_ts = self.mu, ts, np.ones(len(ts), dtype=bool)
+        if self.breaks is not None:
+            lo, hi = np.searchsorted(self.breaks, (t0, ts[-1]), side="right")
+            points = np.concatenate((ts, self.breaks[lo:hi]))
+            order = np.argsort(points, kind="stable")
+            ends, on_ts = points[order], order < len(ts)
+        n, edges = len(ends), np.concatenate(([t0], ends))
+        halfs = 0.5 * np.diff(edges)
+        s = (edges[:-1, None] + halfs[:, None] * (1.0 + _GL_NODES)).ravel()
+        # spans: [:n] of each panel, [n:] from each node to its panel's end
+        r = np.concatenate((2.0 * halfs, np.repeat(ends, _GL_POINTS) - s))
         decay = np.exp(mu * r)
         ch, sh = self._ch_sh(r)
         drive = (eval_forcing(self.f, 0.0, 0.0, s) - self.eps_fd) * self.inv_m
-        wd = (halfs[:, None] * _GL_WEIGHTS).ravel() * drive * decay[1:]
-        x = decay[0] * (ch[0] * x0 + sh[0] * (v0 - mu * x0)) \
-            + float(np.dot(wd, sh[1:]))
-        v = decay[0] * (ch[0] * v0 + sh[0] * (mu * v0 - self.k_m * x0)) \
-            + float(np.dot(wd, ch[1:] + mu * sh[1:]))
-        return float(x), float(v)
+        wd = ((halfs[:, None] * _GL_WEIGHTS).ravel() * drive * decay[n:]).reshape(n, -1)
+        ch_n, sh_n = decay[:n] * ch[:n], decay[:n] * sh[:n]
+        return ends, on_ts, np.array([
+            ch_n - mu * sh_n, sh_n, -self.k_m * sh_n, ch_n + mu * sh_n,
+            (wd * sh[n:].reshape(n, -1)).sum(axis=1),
+            (wd * (ch[n:] + mu * sh[n:]).reshape(n, -1)).sum(axis=1)]).T
+
+    def eval(self, t0: float, x0: float, v0: float, t: float) -> tuple[float, float]:
+        """(x, x') at t from the state (x0, v0) at t0 <= t."""
+        for e11, e12, e21, e22, dx, dv in self.steps(t0, np.array([t]))[2].tolist():
+            x0, v0 = e11 * x0 + e12 * v0 + dx, e21 * x0 + e22 * v0 + dv
+        return x0, v0
 
 
 def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
@@ -266,62 +296,76 @@ def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
                      cfg: EngineConfig) -> SubphaseResult:
     """Solve one slip sub-phase from rest at (tau_jk, x_jk), for either forcing.
 
-    Steps the exact linear propagator over the scan grid of spacing
-    ``bracket_dt``, re-anchoring at every scan point, and refines the first
-    zero of eps * x' by bisection to ``root_tol``.  The path holds the start,
-    the interior scan samples and the end.
+    Steps the exact propagator along the scan grid tau_jk + i * ``bracket_dt``,
+    one quadrature batch per chunk of points, to the first panel end where
+    eps * x' is no longer positive; :func:`_stop` refines that end inside its
+    one-panel bracket.  The path holds the start, the interior scan samples
+    and the end.
     """
-    sub = _LinearSubphase(f, p, eps_jk, tau_jk, x_jk)
+    sub = _LinearSubphase(f, p, eps_jk)
     step = _scan_step(f, p, cfg)
     t_hi = horizon(cfg.t_end, f)
-    ts, xs, vs = [tau_jk], [x_jk], [0.0]
+    panels = 1.0 + step * _knot_density(sub.breaks)  # per scan step
+    n = max(1, min(_CHUNK_STEPS, int(_CHUNK_NODES / (_GL_POINTS * panels))))
+    path = [(tau_jk, x_jk, 0.0)]  # (t, x, x') samples
 
     def result(t: float, x: float, v: float, truncated: bool) -> SubphaseResult:
-        ts.append(t)
-        xs.append(x)
-        vs.append(v)
-        return SubphaseResult(t, x, np.array(ts), np.array(xs), np.array(vs),
-                              truncated)
+        path.append((t, x, v))
+        return SubphaseResult(t, x, *np.array(path).T, truncated)
 
-    t_prev = tau_jk
-    i = 1
+    # x' is checked at every panel end: a noise breakpoint can turn the drive
+    # so that the slip stops, and moves on, between two scan points
+    i, state = 0, path[0]
     while True:
-        t_i = tau_jk + i * step
-        if t_i >= t_hi:
-            x_i, v_i = sub.eval(t_hi)
-            if eps_jk * v_i > 0.0:  # still moving at the horizon
-                return result(t_hi, x_i, v_i, True)
-            t_i = t_hi  # the stop lies in (t_prev, t_hi]
-        else:
-            x_i, v_i = sub.eval(t_i)
-        if eps_jk * v_i <= 0.0:
-            break
-        ts.append(t_i)
-        xs.append(x_i)
-        vs.append(v_i)
-        sub.commit(t_i, x_i, v_i)
-        t_prev = t_i
-        i += 1
+        grid = np.minimum(tau_jk + step * np.arange(i + 1, i + n + 1), t_hi)
+        ends, on_grid, rows = sub.steps(state[0], grid)
+        for t, sample, (e11, e12, e21, e22, dx, dv) in zip(
+                ends.tolist(), on_grid.tolist(), rows.tolist()):
+            _, x, v = state
+            x, v = e11 * x + e12 * v + dx, e21 * x + e22 * v + dv
+            if eps_jk * v <= 0.0:
+                return result(*_stop(sub, eps_jk, state, (t, x, v), cfg.root_tol),
+                              0.0, False)
+            state = (t, x, v)
+            if t >= t_hi:  # still moving at the horizon
+                return result(t, x, v, True)
+            if sample:
+                path.append(state)
+        i += n
 
-    # sign change in (t_prev, t_i]; ensure a strictly-moving left end
-    lo, hi = t_prev, t_i
-    if t_prev == tau_jk:  # no interior sample yet: probe for motion after tau
-        probe = step
-        while probe > cfg.root_tol:
-            probe *= 0.5
-            if eps_jk * sub.eval(tau_jk + probe)[1] > 0.0:
-                lo = tau_jk + probe
-                break
-        else:  # degenerate sub-phase shorter than root_tol
-            return result(tau_jk + probe, sub.eval(tau_jk + probe)[0], 0.0, False)
-    while hi - lo > cfg.root_tol:
-        mid = 0.5 * (lo + hi)
-        if eps_jk * sub.eval(mid)[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t_stop = 0.5 * (lo + hi)
-    return result(t_stop, sub.eval(t_stop)[0], 0.0, False)
+
+def _stop(sub: _LinearSubphase, eps: int, lo: tuple, hi: tuple,
+          tol: float) -> tuple[float, float]:
+    """(t, x) within ``tol`` of the zero of eps * x' between the states
+    (t, x, x') ``lo``, moving or at rest at the start, and ``hi``, stopped.
+
+    Newton on x' from the end with the smaller |x'|, with the acceleration
+    (b(x, x', t) - eps f_d)/m; bisection where a step leaves the bracket,
+    does not halve the last one or meets zero acceleration.  A step below
+    tol/4 is pushed tol/2 across the root to close the bracket, and the end
+    nearer x' = 0 is returned.
+    """
+    at = lambda t, start=lo: (t, *sub.eval(*start, t))  # (t, x, x') from lo as given
+    while lo[2] == 0.0:  # at rest at the start: the stop came within one panel
+        if hi[0] - lo[0] <= tol:  # a degenerate sub-phase
+            return hi[:2]
+        e = at(0.5 * (lo[0] + hi[0]))
+        lo, hi = (e, hi) if eps * e[2] > 0.0 else (lo, e)
+    dt = hi[0] - lo[0]
+    while hi[0] - lo[0] > tol:
+        t, x, v = near = min(lo, hi, key=lambda e: abs(e[2]))
+        a = (eval_forcing(sub.f, x, v, t) - sub.eps_fd) * sub.inv_m
+        c = t - v / a if a != 0.0 else math.nan
+        if abs(c - t) < 0.25 * tol:  # converged: probe just past the root
+            c = t + (0.5 * tol if near is lo else -0.5 * tol)
+        elif not abs(c - t) <= 0.5 * dt:
+            c = math.nan
+        if not lo[0] < c < hi[0]:
+            c = 0.5 * (lo[0] + hi[0])
+        dt = abs(c - t)
+        e = at(c)
+        lo, hi = (e, hi) if eps * e[2] > 0.0 else (lo, e)
+    return min(lo, hi, key=lambda e: abs(e[2]))[:2]
 
 
 # perfbench/tracer.py spans this name as its own layer

@@ -197,16 +197,11 @@ class PerturbedTemperature:
         if self.rho == 0.0:
             return base
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0) or np.any(t_arr > self.t_max):
+        if t_arr.size and (t_arr.min() < 0 or t_arr.max() > self.t_max):
             raise TemperatureDomainError(
                 f"time outside noise-path range [0, {self.t_max}]"
             )
-        grid = t_arr / self.dt
-        i = np.clip(grid.astype(int), 0, len(self.noise_values) - 2)
-        frac = grid - i
-        v = self.noise_values[i] * (1 - frac) + self.noise_values[i + 1] * frac
-        out = base + self.rho * v
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return base + self.rho * np.interp(t_arr, self.breakpoints, self.noise_values)
 
 
 TemperatureSource = Union[AnalyticTemperature, SampledTemperature, PerturbedTemperature]

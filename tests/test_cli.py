@@ -366,3 +366,40 @@ class TestNonFiniteInput:
         assert proc.returncode == EXIT_DATA
         assert "line 151" in proc.stderr
         assert not (tmp_path / "fit.best.txt").exists()
+
+
+class TestBenchmarkTracerHooks:
+    """The benchmark's traced runs wrap module-level names of the package;
+    a renamed or inlined one would make ``--trace 1`` fail or read zero."""
+
+    @staticmethod
+    def _tracer():
+        import importlib.util
+        path = SRC.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_wrapped_names_exist(self):
+        tracer = self._tracer()
+        for module, name, _ in tracer.SPANS:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+        for module, name in tracer.COUNTED:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+    def test_event_layers_record_spans(self, tmp_path, monkeypatch):
+        tracer = self._tracer()
+        for module, name, _ in tracer.SPANS:  # restored after the test
+            monkeypatch.setattr(module, name, getattr(module, name))
+        for module, name in tracer.COUNTED:
+            monkeypatch.setattr(module, name, getattr(module, name))
+        spans = tracer.Tracer()
+        spans.install()
+        assert run(tmp_path, "simulate", "--solver", "events", "--forcing", "shaw",
+                   "--x0", 6.0, "--t-end", 30.0, "--out", tmp_path / "s") == EXIT_OK
+        layers = spans.layers()
+        assert layers["events.departure_calls"] >= 2
+        assert layers["events.subphase_calls"] >= 2
+        assert layers["events.event_count"] >= 4
+        assert layers["model.eval_forcing_calls"] > 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from stickslip import events
 from stickslip import (
     AnalyticTemperature,
     EngineConfig,
@@ -33,7 +34,8 @@ from stickslip import (
 # fitted to x(tau) = x_s, x'(tau) = 0.  Event times come from brentq on x'.
 # --------------------------------------------------------------------------
 
-def _harmonic_slip_oracle(x_s, tau, eps, beta=6.0, Om=0.25, f_d=1.0):
+def _harmonic_slip_closed_form(x_s, tau, eps, beta=6.0, Om=0.25, f_d=1.0):
+    """(x, v) of the slip as functions of t."""
     amp = beta / (1.0 - Om * Om)
     const = -eps * f_d
     # fit x(tau) = x_s, x'(tau) = 0
@@ -47,7 +49,11 @@ def _harmonic_slip_oracle(x_s, tau, eps, beta=6.0, Om=0.25, f_d=1.0):
     def v(t):
         return -amp * Om * math.sin(Om * t) - C * math.sin(t - tau) \
             + D * math.cos(t - tau)
+    return x, v
 
+
+def _harmonic_slip_oracle(x_s, tau, eps, beta=6.0, Om=0.25, f_d=1.0):
+    x, v = _harmonic_slip_closed_form(x_s, tau, eps, beta, Om, f_d)
     # first zero of v after tau: scan then refine
     t = tau + 1e-6
     step = 0.05
@@ -93,6 +99,26 @@ class TestNextDeparture:
         _, t1, x1, tau_32, _, _ = _fig_oracle()
         t = next_departure(x1, t1, harmonic_forcing, 1.2, cfg)
         assert t == pytest.approx(tau_32, abs=1e-6)
+
+    def test_regula_falsi_cost_per_departure(self, harmonic_forcing,
+                                             harmonic_params, monkeypatch):
+        # the start point, one scan chunk and a few regula falsi steps, where
+        # bisection from the scan step down to root_tol takes 27
+        cfg = EngineConfig(t_end=650.0)
+        traj = simulate_events(6.0, harmonic_forcing, harmonic_params, cfg)
+        calls = []
+        forcing = events.eval_forcing
+        monkeypatch.setattr(events, "eval_forcing",
+                            lambda *args: calls.append(1) or forcing(*args))
+        sticks = [(a, b) for a, b in zip(traj.events, traj.events[1:])
+                  if b.kind == EventKind.ENTER_DYNAMIC]
+        assert len(sticks) > 40
+        for stick, departure in sticks:
+            calls.clear()
+            t = next_departure(stick.position, stick.time, harmonic_forcing,
+                               harmonic_params.f_s, cfg)
+            assert t == departure.time
+            assert len(calls) <= 8
 
 
 class TestDynamicSubphase:
@@ -172,6 +198,57 @@ class TestDynamicSubphase:
         sub = dynamic_subphase(-0.5, 0.0, 1, f, p, EngineConfig(t_end=1.0))
         assert sub.truncated
         assert sub.tau_next == 1.0
+
+    def test_horizon_truncation_in_a_later_chunk(self, harmonic_forcing,
+                                                 harmonic_params):
+        # the slip lasts 10.7, longer than one chunk of 64 scan steps; the
+        # horizon falls between two scan points of the second chunk
+        tau_half = 4.0 * math.acos(0.8)
+        t_end = tau_half + 8.0
+        full = dynamic_subphase(6.0, tau_half, -1, harmonic_forcing,
+                                harmonic_params, EngineConfig(t_end=30.0))
+        cut = dynamic_subphase(6.0, tau_half, -1, harmonic_forcing,
+                               harmonic_params, EngineConfig(t_end=t_end))
+        assert cut.truncated
+        assert cut.tau_next == t_end
+        n = len(cut.path_t) - 1
+        assert n > 64
+        assert np.array_equal(cut.path_t[:n], full.path_t[:n])
+        np.testing.assert_allclose(cut.path_x[:n], full.path_x[:n], rtol=0,
+                                   atol=1e-12)
+        x, v = _harmonic_slip_closed_form(6.0, tau_half, -1)
+        assert cut.x_next == pytest.approx(x(t_end), abs=1e-9)
+        assert cut.path_v[-1] == pytest.approx(v(t_end), abs=1e-9)
+
+    def test_path_samples_are_the_scan_grid(self, harmonic_forcing,
+                                            harmonic_params):
+        # interior samples sit exactly at tau + i*step, across chunks and
+        # with quadrature panels split at noise breakpoints
+        T = perturbed_temperature(0.25, 0.25, ou_path(3001, 0.01, 0))
+        noisy = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
+        cfg = EngineConfig(t_end=30.0, bracket_dt=0.05)
+        for f, x0, tau, eps in [(harmonic_forcing, 6.0, 4.0 * math.acos(0.8), -1),
+                                (noisy, 6.0 * T.at(3.0) - 4.0, 3.0, 1)]:
+            sub = dynamic_subphase(x0, tau, eps, f, harmonic_params, cfg)
+            i = np.arange(1, len(sub.path_t) - 1)
+            assert len(i) > 50
+            assert np.array_equal(sub.path_t[1:-1], tau + i * 0.05)
+            assert not sub.truncated
+
+    def test_newton_cost_per_subphase_root(self, harmonic_forcing,
+                                           harmonic_params, monkeypatch):
+        # point evaluations after the chunk that brackets the stop, where
+        # bisection from the scan step down to root_tol takes 27
+        points = []
+        point = events._LinearSubphase.eval
+        monkeypatch.setattr(events._LinearSubphase, "eval",
+                            lambda *args: points.append(1) or point(*args))
+        traj = simulate_events(6.0, harmonic_forcing, harmonic_params,
+                               EngineConfig(t_end=650.0))
+        roots = len(traj.events.of_kind(EventKind.ENTER_STATIC)) - 1 \
+            + len(traj.events.of_kind(EventKind.SUBPHASE_BOUNDARY))
+        assert roots > 40
+        assert len(points) <= 5 * roots
 
     @settings(max_examples=60, deadline=None)
     @given(K=st.floats(0.25, 4.0), m=st.floats(0.5, 2.0),
@@ -289,6 +366,8 @@ class TestSimulateEvents:
             if left.kind == EventKind.ENTER_STATIC:
                 continue
             inside = (traj.t > left.time) & (traj.t < right.time)
+            if not np.any(inside):  # a slip shorter than one scan step
+                continue
             v = traj.v[inside]
             b = traj.b[inside]
             assert np.all(v != 0.0)
@@ -348,6 +427,7 @@ class TestSimulateEvents:
         assert traj.events[2].time == pytest.approx(sol.t_events[0][0], abs=1e-6)
         assert traj.events[2].position == pytest.approx(sol.y_events[0][0][0],
                                                         abs=1e-6)
+        return traj
 
     def test_damped_harmonic_against_adaptive_integration(self, harmonic_params):
         # velocity-dependent damping: the underdamped propagator
@@ -363,6 +443,13 @@ class TestSimulateEvents:
                                                           alpha, Om):
         self._check_first_slip_against_adaptive_integration(alpha, Om,
                                                             harmonic_params)
+
+    def test_overdamped_slip_over_several_chunks(self, harmonic_params):
+        # a slip of 14.8, over two natural periods: more than two chunks of 64
+        # scan steps, each stepped from the last state of the one before
+        traj = self._check_first_slip_against_adaptive_integration(
+            4.0, 0.25, harmonic_params)
+        assert traj.events[2].time - traj.events[1].time > 2 * 2 * math.pi
 
     def test_damped_harmonic_euler_convergence(self, harmonic_params):
         from stickslip import EulerConfig, simulate_euler

@@ -76,6 +76,24 @@ class TestPerturbedTemperature:
         base = math.cos(0.25 * t)
         assert (T2.at(t) - base) == pytest.approx(2 * (T1.at(t) - base), rel=1e-12)
 
+    def test_at_matches_the_grid_formula(self):
+        # the interpolation on the cached breakpoints against the formula it
+        # replaced, which rounds t/dt: that quotient's error grows with t
+        # times the segment's change, so the scale carries that term
+        path = ou_path(3001, 0.01, 5)
+        T = perturbed_temperature(0.25, 0.25, path)
+        t = np.random.default_rng(1).uniform(0.0, T.t_max, 10_000)
+        t = np.concatenate((t, path.dt * np.arange(len(path.values)), [T.t_max]))
+        grid = t / path.dt
+        i = np.clip(grid.astype(int), 0, len(path.values) - 2)
+        frac = grid - i
+        v0, v1 = path.values[i], path.values[i + 1]
+        old = np.cos(0.25 * t) + 0.25 * (v0 * (1 - frac) + v1 * frac)
+        scale = 1.0 + 0.25 * (np.abs(v0) + np.abs(v1) + np.abs(v1 - v0) * grid)
+        assert np.max(np.abs(T.at(t) - old) / scale) <= 1e-15
+        assert isinstance(T.at(1.234), float)
+        assert T.at(np.array([])).shape == (0,)
+
     def test_domain_error_beyond_path(self):
         path = ou_path(101, 0.01, 7)  # covers [0, 1]
         T = perturbed_temperature(0.25, 0.1, path)

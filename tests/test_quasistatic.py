@@ -186,6 +186,28 @@ class TestWindowSearch:
         assert first[0] > 0.0
         assert first[0] == first[1]
 
+    def test_exit_shorter_than_the_scan_step(self):
+        # simulate --solver quasistatic --forcing thermal --rho 0.25 --seed 0
+        # --t-end 1000: the stick at x = -0.8 from t = 18.85 has |b| > f_s for
+        # less than 0.02 near t = 19.96, between two scan points 0.098 apart;
+        # stepping over it would end the stick at 20.270
+        t_end = 1000.0
+        path = ou_path(int(math.ceil(t_end / 0.01)) + 2, 0.01, 0)
+        T = perturbed_temperature(0.25, 0.25, path)
+        f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+        events = list(simulate_quasistatic(0.0, f, p, t_end).events)
+        stick = next(i for i, e in enumerate(events)
+                     if e.kind == EventKind.ENTER_STATIC
+                     and e.position == pytest.approx(-0.8, abs=1e-12)
+                     and 18.8 < e.time < 18.9)
+        departure = events[stick + 1]
+        assert departure.kind == EventKind.ENTER_DYNAMIC
+        assert departure.time == pytest.approx(19.957, abs=1e-3)
+        # the event engine's search from the same stick agrees
+        assert next_departure(-0.8, events[stick].time, f, p.f_s,
+                              EngineConfig(t_end=t_end)) == departure.time
+
     def test_reentry_across_the_whole_window(self):
         # with f_d = f_s the slip at t = 5 lasts until the drive re-enters
         # [-1, 1]; the segment (20, 2) -> (30, -2) jumps from above the window
