@@ -4,16 +4,18 @@
 A 45-day displacement/temperature record at 10-minute cadence, produced by
 the quasistatic staircase model with known parameters plus 1% multiplicative
 measurement noise.  Everything is seeded, so the files are reproducible.
+
+Usage: python scripts/make_demo_data.py [OUT_DIR]   (default: data/)
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from stickslip import (
+    Drive,
     FrictionParams,
-    SampledTemperature,
-    TemperatureSeries,
     TemperatureSpringForcing,
     corrected_displacement,
     ou_path,
@@ -27,8 +29,7 @@ TEMP_SEED = 20250810
 NOISE_SEED = 99
 
 
-def main() -> None:
-    out_dir = Path(__file__).resolve().parent.parent / "data"
+def main(out_dir: Path) -> None:
     out_dir.mkdir(exist_ok=True)
 
     times = 600.0 * np.arange(N)
@@ -36,10 +37,9 @@ def main() -> None:
     ou = ou_path(N, 600 / 86400.0, TEMP_SEED)
     temps = 60 * np.sin(2 * np.pi * days / 18) + 8 * np.sin(2 * np.pi * days) \
         + 1.5 * np.asarray(ou.values)
-    series = TemperatureSeries(times, temps)
 
     forcing = TemperatureSpringForcing(K=TRUTH["K"], beta=TRUTH["beta"],
-                                       T=SampledTemperature(series))
+                                       T=Drive(knots=times, values=temps))
     params = FrictionParams(m=1.0, f_d=TRUTH["f_d"], f_s=TRUTH["f_s"])
     traj = simulate_quasistatic(TRUTH["beta"] * temps[0], forcing, params,
                                 float(times[-1]), sample_times=times)
@@ -70,4 +70,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1
+         else Path(__file__).resolve().parent.parent / "data")

@@ -8,22 +8,18 @@ displacement/temperature records.
 """
 
 from .model import (
-    AnalyticTemperature,
+    Drive,
     Event,
     EventKind,
     EventLog,
-    ForcingModel,
     FrictionParams,
     HarmonicForcing,
-    PerturbedTemperature,
     PhaseLabel,
-    SampledTemperature,
     SolverCapError,
+    TemperatureDomainError,
     TemperatureSeries,
-    TemperatureSource,
     TemperatureSpringForcing,
     Trajectory,
-    constant_temperature,
     eval_forcing,
     friction_force,
     horizon,

@@ -184,25 +184,6 @@ def _from_unit(u: np.ndarray, bounds: dict[str, tuple[float, float]]) -> FitPara
     return FitParams(z0, K, beta, f_d, f_s)
 
 
-def _to_unit(params: FitParams, bounds: dict[str, tuple[float, float]]) -> np.ndarray:
-    """Inverse of :func:`_from_unit` (used to verify bijectivity)."""
-    lo_z, hi_z = bounds["z0"]
-    lo_K, hi_K = bounds["K"]
-    lo_b, hi_b = bounds["beta"]
-    lo_fd, hi_fd = bounds["f_d"]
-    lo_fs, hi_fs = bounds["f_s"]
-    fd_hi = min(hi_fd, hi_fs)
-    fs_lo = max(lo_fs, params.f_d)
-    span = lambda v, lo, hi: 0.0 if hi == lo else (v - lo) / (hi - lo)
-    return np.array([
-        span(params.z0, lo_z, hi_z),
-        span(params.K, lo_K, hi_K),
-        span(params.beta, lo_b, hi_b),
-        span(params.f_d, lo_fd, fd_hi),
-        span(params.f_s, fs_lo, hi_fs),
-    ])
-
-
 # --------------------------------------------------------------------------
 # Differential evolution (rand/1/bin)
 # --------------------------------------------------------------------------

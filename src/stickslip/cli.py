@@ -29,10 +29,10 @@ from .calibrate import (
 from .euler import EulerConfig, simulate_euler
 from .events import EngineConfig, simulate_events
 from .model import (
+    Drive,
     FrictionParams,
     HarmonicForcing,
     PhaseLabel,
-    SampledTemperature,
     SolverCapError,
     TemperatureSeries,
     TemperatureSpringForcing,
@@ -111,25 +111,6 @@ def write_split_segments(prefix: Path, traj: Trajectory,
     return paths
 
 
-def read_trajectory(path: Path) -> Trajectory:
-    """Parse a trajectory column file back; phase is inferred from the
-    stick signature v = 0 and friction = b."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append([float(tok) for tok in line.split()])
-    data = np.array(rows)
-    if data.ndim != 2 or data.shape[1] != 5:
-        raise SeriesParseError(0, "expected 5 columns (t x v friction b)")
-    t, x, v, fr, b = data.T
-    static = (v == 0.0) & (fr == b)
-    phase = np.where(static, PhaseLabel.STATIC.value,
-                     PhaseLabel.DYNAMIC.value).astype(np.int8)
-    return Trajectory(t=t, x=x, v=v, friction=fr, b=b, phase=phase)
-
-
 # --------------------------------------------------------------------------
 # Argument handling
 # --------------------------------------------------------------------------
@@ -196,6 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numbers(args) -> None:
+    """Reject a non-finite number in any float flag, and a --t-end, --h or
+    --ou-dt that is not positive."""
+    for name, value in vars(args).items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+        if name in ("t_end", "h", "ou_dt") and value is not None and value <= 0:
+            raise ConfigError(f"{flag} must be positive, got {value}")
+
+
 def _merge_config(argv: list[str]) -> list[str]:
     """Prepend key=value file entries as flags; explicit flags win."""
     if "--config" not in argv:
@@ -236,10 +228,12 @@ def _build_thermal_forcing(args) -> TemperatureSpringForcing:
             raise SeriesParseError(0, f"temperature file not found: {args.temps}")
         with open(args.temps) as fh:
             series = load_temperature_series(fh)
-        return TemperatureSpringForcing(K=args.K, beta=args.beta,
-                                        T=SampledTemperature(series))
-    ou_dt = args.ou_dt if args.ou_dt else (args.h if args.solver == "euler"
-                                           and args.h else 0.01)
+        return TemperatureSpringForcing(
+            K=args.K, beta=args.beta, T=Drive(knots=series.times, values=series.temps))
+    if args.ou_dt is not None:
+        ou_dt = args.ou_dt
+    else:
+        ou_dt = args.h if args.solver == "euler" and args.h else 0.01
     n = int(math.ceil(args.t_end / ou_dt)) + 2
     path = ou_path(n, ou_dt, args.seed)
     return TemperatureSpringForcing(
@@ -262,8 +256,8 @@ def run_simulate(args) -> int:
             raise ConfigError("euler solver requires --h")
         # the most steps that stay within the horizon; the relative slack
         # keeps a whole quotient such as 65/1e-3 whole under rounding
-        n_steps = math.floor(horizon(args.t_end, forcing) / args.h * (1 + 1e-9))
-        if n_steps * args.h > forcing.t_max:  # keep the last step on the record
+        n_steps = math.floor(horizon(args.t_end, forcing.T) / args.h * (1 + 1e-9))
+        if n_steps * args.h > forcing.T.t_max:  # keep the last step on the record
             n_steps -= 1
         cfg = EulerConfig(h=args.h, n_steps=n_steps,
                           record_every=args.record_every)
@@ -289,8 +283,6 @@ def _load_record(paths: list[Path]) -> tuple[TemperatureSeries, np.ndarray]:
     if len(paths) == 1:
         with open(paths[0]) as fh:
             t, temp, z = _parse_columns(fh, 3)
-        if np.any(np.diff(t) <= 0):
-            raise SeriesParseError(0, "times must be strictly increasing")
         return TemperatureSeries(t, temp), z
     if len(paths) == 2:
         with open(paths[0]) as fh:
@@ -376,6 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _merge_config(argv)
         args = parser.parse_args(argv)
+        _check_numbers(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

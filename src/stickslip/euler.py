@@ -23,9 +23,9 @@ from .model import (
     Event,
     EventKind,
     EventLog,
-    ForcingModel,
     FrictionParams,
     PhaseLabel,
+    TemperatureSpringForcing,
     Trajectory,
     eval_forcing,
     friction_force,
@@ -70,7 +70,7 @@ def shrink(u: float, gate: float, slip: float) -> float:
     return u - math.copysign(slip, u)
 
 
-def simulate_euler(x0: float, f: ForcingModel, p: FrictionParams,
+def simulate_euler(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
                    cfg: EulerConfig) -> Trajectory:
     """Run the stepped scheme from rest and assemble the sampled trajectory.
 

@@ -3,18 +3,19 @@
 The run alternates stick (static) phases with slip (dynamic) phases.  A stick
 at level x_j ends at the first time |b(x_j, t)| exceeds f_s, located by
 :func:`next_departure`, the window search the quasistatic model shares: a scan
-at the event step and at the forcing's breakpoints, refined by regula falsi.  A
+at the event step and at the drive's knots, refined by regula falsi.  A
 slip decomposes into sub-phases of constant velocity sign eps = sign(b) at the
 sub-phase start; within one sub-phase the motion solves the smooth signed ODE
 
     m x'' = b(x, x', t) - eps * f_d,   x(tau) = x_jk, x'(tau) = 0,
 
-and the sub-phase ends at the first zero of x'.  For both forcings this ODE
-is linear, m x'' + c x' + k x = g(t) - eps * f_d, and its exact 2x2 propagator
-steps through a chunk of scan points per numpy call, the drive term taken by
-Gauss-Legendre quadrature on panels split at the forcing's breakpoints.  The
-first panel end where x' has stopped brackets the end, and safeguarded Newton
-steps on x' refine it to the configured root tolerance.
+and the sub-phase ends at the first zero of x'.  The forcing makes this ODE
+linear, m x'' + c x' + K x = g(t) - eps * f_d, and its exact 2x2 propagator
+steps through a chunk of scan points per numpy call, on panels split at the
+drive's knots.  The drive term of each panel is the closed-form particular
+solution of the drive's parts (a linear piece per panel and each cosine
+term).  The first panel end where x' has stopped brackets the end, and
+safeguarded Newton steps on x' refine it to the configured root tolerance.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from .model import (
     Event,
     EventKind,
     EventLog,
-    ForcingModel,
+    TemperatureSpringForcing,
     FrictionParams,
     PhaseLabel,
-    SampledTemperature,
     SolverCapError,
     Trajectory,
     eval_forcing,
@@ -57,8 +57,8 @@ class EngineConfig:
     """Engine resolution knobs.
 
     ``bracket_dt`` (the event-scan step) defaults to 1/64 of the fastest
-    relevant period -- the natural period of the slip oscillation, and for
-    harmonic forcing also the forcing period -- so brief threshold crossings
+    relevant period -- the natural period of the slip oscillation and the
+    period of each cosine term of the drive -- so brief threshold crossings
     are not stepped over.  Sub-phases advance the exact propagator between
     scan points, so the scan step sets where roots are bracketed, not the
     accuracy of the motion.
@@ -98,40 +98,43 @@ class MaxSubphasesError(SolverCapError):
     """Sub-phase cascade exceeded the configured safety cap."""
 
 
-def _scan_step(f: ForcingModel, p: FrictionParams | None, cfg: EngineConfig) -> float:
-    """Default event-scan step: 1/64 of the fastest relevant period.
+def _scan_step(f: TemperatureSpringForcing, p: FrictionParams | None,
+               cfg: EngineConfig) -> float:
+    """Default event-scan step: 1/64 of the fastest relevant period, that of
+    the slip oscillation or of the drive's fastest cosine term.
 
     Without friction parameters (pure departure searches) the natural period
     is taken at unit mass.
     """
     if cfg.bracket_dt is not None:
         return cfg.bracket_dt
-    return (2.0 * math.pi / max(natural_frequency(f, p), f.Omega)) / 64.0
+    fastest = max([natural_frequency(f, p), *(abs(w) for _, w, _ in f.T.terms)])
+    return (2.0 * math.pi / fastest) / 64.0
 
 
 # --------------------------------------------------------------------------
 # Departure from a stick
 # --------------------------------------------------------------------------
 
-def next_departure(x_j: float, tau_j: float, f: ForcingModel, f_s: float,
-                   cfg: EngineConfig, reenter: bool = False) -> float:
+def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
+                   f_s: float, cfg: EngineConfig, reenter: bool = False) -> float:
     """First t >= tau_j with |b(x_j, t)| > f_s, or +inf if none before the horizon.
 
     With ``reenter`` it is the first t >= tau_j with |b(x_j, t)| <= f_s
     instead.  The search scans a grid in chunks and stops at the first chunk
-    that holds a hit.  On a sampled temperature the drive is linear between
-    breakpoints, so the grid is the breakpoints and the root is the linear
+    that holds a hit.  A drive with a table and no cosine terms is linear
+    between its knots, so the grid is the knots and the root is the linear
     crossing of the window edge |beta*T - x_j| = f_s/K: exact on the
     interpolant, also where one segment jumps across the whole window.  Any
-    other forcing is scanned with step ``bracket_dt`` and at its breakpoints,
+    other drive is scanned with step ``bracket_dt`` and at its knots,
     where a noise path may leave the window and return within one step, and
     the crossing is refined by :func:`_illinois` to ``root_tol``.
     """
-    t_hi = horizon(cfg.t_end, f)
+    t_hi = horizon(cfg.t_end, f.T)
     if tau_j >= t_hi:
         return math.inf
-    knots = f.breakpoints
-    linear = isinstance(getattr(f, "T", None), SampledTemperature)
+    knots = f.T.knots
+    linear = knots is not None and not f.T.terms
     if linear:
         # the window in displacement units, as the stick-level lattice reads it
         first = int(np.searchsorted(knots, tau_j, side="right"))
@@ -210,44 +213,58 @@ def _illinois(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
 # Slip sub-phase: the exact linear propagator
 # --------------------------------------------------------------------------
 
-_GL_POINTS = 24
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_POINTS)
 _CHUNK_STEPS = 64  # about one natural period at the default scan step
-_CHUNK_NODES = 4096  # caps the quadrature temporaries where breakpoints split panels
+# |K - m W^2 + i c W| / K at undamped resonance: zero up to the rounding of a
+# rate such as W = sqrt(K/m), where the steady amplitude would be noise
+_RESONANCE = 4.0 * np.finfo(float).eps
 
 
 class _LinearSubphase:
-    """Exact steps of  m x'' + c x' + k x = g(t) - eps f_d  for one sub-phase.
+    """Exact steps of  m x'' + c x' + K x = g(t) - eps f_d  for one sub-phase.
 
-    Both forcings give this ODE during a slip, with k = ``f.K``,
-    c = ``f.damping`` and the drive g(t) = b(0, 0, t).  In first-order form
-    y' = A y + e2 (g - eps f_d)/m, and with mu = -c/2m, delta^2 = mu^2 - k/m
-    the propagator over a span r is
+    During a slip the forcing gives this ODE with the drive g(t) = b(0, 0, t)
+    = K beta T(t).  In first-order form y' = A y + e2 (g - eps f_d)/m, and
+    with mu = -c/2m, delta^2 = mu^2 - K/m the propagator over a span r is
 
         E(r) = e^{mu r} [ch(r) I + sh(r) (A - mu I)],
 
     where (ch, sh) is (cos wr, sin(wr)/w) for delta^2 = -w^2 < 0, (cosh wr,
     sinh(wr)/w) for delta^2 = w^2 > 0 and (1, r) at critical damping.  Over
-    an interval [t0, t1]
+    a panel [t0, t1] on which the table part of T is linear,
 
-        y(t1) = E(t1 - t0) y(t0) + int_t0^t1 E(t1 - s) e2 (g(s) - eps f_d)/m ds,
+        y(t1) = E(t1 - t0) y(t0) + y_p(t1) - E(t1 - t0) y_p(t0)
 
-    with the integral taken by the Gauss-Legendre rule on panels split at the
-    forcing's breakpoints: exact on piecewise-linear temperatures, and at
-    machine precision on the smooth drives, resonance included.  No span
-    exceeds one interval, so no e^{mu r} grows over a long sub-phase.
+    for any particular solution y_p: the piecewise-exact recurrence of Nigam
+    & Jennings (1969).  y_p is a sum of closed forms, one per part of the
+    drive.  For the linear part G0 + G1 (t - t0) of g - eps f_d on the panel,
+    x_p = (G0 + G1 (t - t0) - c G1/K)/K.  For a cosine term K beta a cos(W t +
+    phi), x_p = Re[K beta a e^{i(W t + phi)} / (K - m W^2 + i c W)], and at
+    undamped resonance the secular x_p = K beta a (t - t0) sin(W t + phi) /
+    (2 m W).  Panels are split at the drive's knots, and no span exceeds one
+    scan step, so no e^{mu r} grows over a long sub-phase.
     """
 
-    def __init__(self, f: ForcingModel, p: FrictionParams, eps: int):
+    def __init__(self, f: TemperatureSpringForcing, p: FrictionParams, eps: int):
         self.f = f
         self.inv_m = 1.0 / p.m
         self.eps_fd = eps * p.f_d
-        self.mu = -0.5 * f.damping / p.m
+        self.mu = -0.5 * f.c / p.m
         self.k_m = f.K / p.m
         self.delta2 = self.mu * self.mu - self.k_m
         self.w = math.sqrt(abs(self.delta2))
-        breaks = f.breakpoints
-        self.breaks = None if breaks is None else np.asarray(breaks, dtype=float)
+        self.breaks = f.T.knots
+        # per cosine term (W, phi, resonant, X, Y): the steady response is
+        # x_p = X cos(W t + phi) - Y sin(W t + phi), or the secular one with
+        # amplitude X at resonance
+        self.waves = []
+        for a, w, ph in f.T.terms:
+            force = f.K * f.beta * a
+            den = complex(f.K - p.m * w * w, f.c * w)
+            if abs(den) <= _RESONANCE * f.K:
+                self.waves.append((w, ph, True, force / (2.0 * p.m * w), 0.0))
+            else:
+                z = force / den
+                self.waves.append((w, ph, False, z.real, z.imag))
 
     def _ch_sh(self, r: np.ndarray):
         if self.delta2 < 0.0:
@@ -258,31 +275,55 @@ class _LinearSubphase:
             return np.cosh(wr), np.sinh(wr) / self.w
         return np.ones_like(r), r
 
+    def _particular(self, edges: np.ndarray, r: np.ndarray):
+        """(x, x') of the particular solution at the start and at the end of
+        each panel between consecutive ``edges``, r the panel widths."""
+        f, T = self.f, self.f.T
+        start = edges[:-1]
+        level = T.offset + T.slope * start
+        rate = np.full(len(r), T.slope)
+        if T.knots is not None:
+            table = T.scale * np.interp(edges, T.knots, T.values)
+            level = level + table[:-1]
+            rate = rate + np.divide(np.diff(table), r, out=np.zeros_like(r),
+                                    where=r > 0.0)
+        v0 = f.beta * rate  # G1/K
+        x0 = f.beta * level - (self.eps_fd + f.c * v0) / f.K  # (G0 - c G1/K)/K
+        x1, v1 = x0 + v0 * r, v0
+        for w, ph, resonant, X, Y in self.waves:
+            theta = w * edges + ph
+            cos, sin = np.cos(theta), np.sin(theta)
+            if resonant:  # x_p = X (t - t0) sin(theta), zero at the panel start
+                v0 = v0 + X * sin[:-1]
+                x1 = x1 + X * r * sin[1:]
+                v1 = v1 + X * (sin[1:] + w * r * cos[1:])
+            else:
+                xp, vp = X * cos - Y * sin, -w * (X * sin + Y * cos)
+                x0, v0 = x0 + xp[:-1], v0 + vp[:-1]
+                x1, v1 = x1 + xp[1:], v1 + vp[1:]
+        return x0, v0, x1, v1
+
     def steps(self, t0: float, ts: np.ndarray):
         """Exact steps from t0 through the points ``ts`` and the breakpoints
-        among them, one quadrature batch for all: the panel ends, whether each
-        is a point of ``ts``, and per panel (E11, E12, E21, E22, d_x, d_v),
-        so that the state at its end is E y + d for y the state at its start."""
+        among them: the panel ends, whether each is a point of ``ts``, and per
+        panel (E11, E12, E21, E22, d_x, d_v), so that the state at its end is
+        E y + d for y the state at its start."""
         mu, ends, on_ts = self.mu, ts, np.ones(len(ts), dtype=bool)
         if self.breaks is not None:
             lo, hi = np.searchsorted(self.breaks, (t0, ts[-1]), side="right")
             points = np.concatenate((ts, self.breaks[lo:hi]))
             order = np.argsort(points, kind="stable")
             ends, on_ts = points[order], order < len(ts)
-        n, edges = len(ends), np.concatenate(([t0], ends))
-        halfs = 0.5 * np.diff(edges)
-        s = (edges[:-1, None] + halfs[:, None] * (1.0 + _GL_NODES)).ravel()
-        # spans: [:n] of each panel, [n:] from each node to its panel's end
-        r = np.concatenate((2.0 * halfs, np.repeat(ends, _GL_POINTS) - s))
+        edges = np.concatenate(([t0], ends))
+        r = np.diff(edges)
         decay = np.exp(mu * r)
         ch, sh = self._ch_sh(r)
-        drive = (eval_forcing(self.f, 0.0, 0.0, s) - self.eps_fd) * self.inv_m
-        wd = ((halfs[:, None] * _GL_WEIGHTS).ravel() * drive * decay[n:]).reshape(n, -1)
-        ch_n, sh_n = decay[:n] * ch[:n], decay[:n] * sh[:n]
+        ch, sh = decay * ch, decay * sh
+        e11, e12, e21, e22 = ch - mu * sh, sh, -self.k_m * sh, ch + mu * sh
+        x0, v0, x1, v1 = self._particular(edges, r)
         return ends, on_ts, np.array([
-            ch_n - mu * sh_n, sh_n, -self.k_m * sh_n, ch_n + mu * sh_n,
-            (wd * sh[n:].reshape(n, -1)).sum(axis=1),
-            (wd * (ch[n:] + mu * sh[n:]).reshape(n, -1)).sum(axis=1)]).T
+            e11, e12, e21, e22,
+            x1 - (e11 * x0 + e12 * v0), v1 - (e21 * x0 + e22 * v0)]).T
 
     def eval(self, t0: float, x0: float, v0: float, t: float) -> tuple[float, float]:
         """(x, x') at t from the state (x0, v0) at t0 <= t."""
@@ -292,21 +333,22 @@ class _LinearSubphase:
 
 
 def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
-                     f: ForcingModel, p: FrictionParams,
+                     f: TemperatureSpringForcing, p: FrictionParams,
                      cfg: EngineConfig) -> SubphaseResult:
-    """Solve one slip sub-phase from rest at (tau_jk, x_jk), for either forcing.
+    """Solve one slip sub-phase from rest at (tau_jk, x_jk).
 
     Steps the exact propagator along the scan grid tau_jk + i * ``bracket_dt``,
-    one quadrature batch per chunk of points, to the first panel end where
+    one numpy batch per chunk of 64 points (fewer where the drive's knots
+    would make it more than about 2 048 panels), to the first panel end where
     eps * x' is no longer positive; :func:`_stop` refines that end inside its
     one-panel bracket.  The path holds the start, the interior scan samples
     and the end.
     """
     sub = _LinearSubphase(f, p, eps_jk)
     step = _scan_step(f, p, cfg)
-    t_hi = horizon(cfg.t_end, f)
+    t_hi = horizon(cfg.t_end, f.T)
     panels = 1.0 + step * _knot_density(sub.breaks)  # per scan step
-    n = max(1, min(_CHUNK_STEPS, int(_CHUNK_NODES / (_GL_POINTS * panels))))
+    n = max(1, min(_CHUNK_STEPS, int(_SCAN_CHUNK / panels)))
     path = [(tau_jk, x_jk, 0.0)]  # (t, x, x') samples
 
     def result(t: float, x: float, v: float, truncated: bool) -> SubphaseResult:
@@ -379,7 +421,7 @@ dynamic_subphase_generic = dynamic_subphase
 class _Recorder:
     """Accumulates trajectory columns; friction by :func:`friction_force`."""
 
-    def __init__(self, f: ForcingModel, p: FrictionParams):
+    def __init__(self, f: TemperatureSpringForcing, p: FrictionParams):
         self.f = f
         self.p = p
         self.t: list[np.ndarray] = []
@@ -410,7 +452,7 @@ class _Recorder:
                           events=events)
 
 
-def simulate_events(x0: float, f: ForcingModel, p: FrictionParams,
+def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
                     cfg: EngineConfig) -> Trajectory:
     """Run the full stick/slip cascade up to the horizon.
 
@@ -418,7 +460,7 @@ def simulate_events(x0: float, f: ForcingModel, p: FrictionParams,
     phase at t = 0.  Raises :class:`MaxSubphasesError` (with the partial
     trajectory attached) if a single dynamic phase exceeds the sub-phase cap.
     """
-    t_hi = horizon(cfg.t_end, f)
+    t_hi = horizon(cfg.t_end, f.T)
     step = _scan_step(f, p, cfg)
     rec = _Recorder(f, p)
     events = EventLog()

@@ -1,5 +1,5 @@
-"""Domain types shared by all solvers: friction parameters, forcing models,
-temperature sources, phase labels, event logs and trajectories.
+"""Domain types shared by all solvers: friction parameters, the forcing and
+its temperature drive, phase labels, event logs and trajectories.
 
 The physical system is a one-dimensional oscillator with bilevel Coulomb
 friction,
@@ -7,9 +7,15 @@ friction,
     m x'' + F(x') = b(x, x', t),    x(0) = x0, x'(0) = 0,
 
 where the friction force F equals the applied force b during stick phases
-(equilibrium, |b| <= f_s) and sign(x') * f_d during slip phases.  Two forcing
-variants are supported: a harmonically driven unit spring with optional
-viscous damping, and a temperature-driven spring b = K * (beta*T(t) - x).
+(equilibrium, |b| <= f_s) and sign(x') * f_d during slip phases.  There is
+one forcing, a damped spring pulled toward a temperature-driven target,
+
+    b(x, x', t) = K * (beta*T(t) - x) - c * x',
+
+with the structured drive T(t) = offset + slope*t + sum_i a_i cos(Omega_i t +
+phi_i) + scale * L(t), L piecewise linear.  The bearing's thermal dilatation
+is K, beta and a sampled or noisy T with c = 0; Shaw's harmonic benchmark is
+K = 1, c = 2*alpha and T = cos(Omega t).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +31,9 @@ __all__ = [
     "FrictionParams",
     "HarmonicForcing",
     "TemperatureSpringForcing",
-    "ForcingModel",
-    "AnalyticTemperature",
-    "SampledTemperature",
-    "PerturbedTemperature",
+    "Drive",
     "TemperatureSeries",
-    "TemperatureSource",
+    "TemperatureDomainError",
     "PhaseLabel",
     "EventKind",
     "Event",
@@ -72,20 +75,22 @@ class FrictionParams:
 
 
 # --------------------------------------------------------------------------
-# Temperature sources
+# Temperature: one structured drive
 # --------------------------------------------------------------------------
 
 class TemperatureDomainError(ValueError):
-    """Temperature evaluation requested outside the source's time domain."""
+    """Temperature evaluation requested outside the drive's time domain."""
+
+
+def _require_finite(what: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {values}")
 
 
 @dataclass(frozen=True)
 class TemperatureSeries:
-    """Sampled temperature record with piecewise-linear interpolation.
-
-    ``times`` must be strictly increasing; evaluation outside
-    ``[times[0], times[-1]]`` raises :class:`TemperatureDomainError`.
-    """
+    """Sampled temperature record: strictly increasing ``times`` and the
+    ``temps`` at them, all finite."""
 
     times: np.ndarray
     temps: np.ndarray
@@ -103,198 +108,125 @@ class TemperatureSeries:
             )
         if len(times) == 0:
             raise ValueError("empty series")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(temps))):
+            raise ValueError("times and temps must be finite")
         if len(times) > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
 
-    @property
-    def t_min(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.times[-1])
-
-    def at(self, t):
-        """Interpolated temperature at time(s) ``t`` (scalar or array)."""
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self.times[0]) or np.any(t_arr > self.times[-1]):
-            raise TemperatureDomainError(
-                f"time outside sampled range [{self.t_min}, {self.t_max}]"
-            )
-        out = np.interp(t_arr, self.times, self.temps)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
 
 @dataclass(frozen=True)
-class AnalyticTemperature:
-    """Closed-form temperature t -> T(t); defined for all t."""
+class Drive:
+    """Temperature T(t) = offset + slope*t + sum_i a_i cos(Omega_i t + phi_i)
+    + scale * L(t).
 
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def at(self, t):
-        return self.fn(np.asarray(t, dtype=float) if not np.isscalar(t) else t)
-
-    @property
-    def breakpoints(self) -> np.ndarray | None:
-        return None
-
-    @property
-    def t_max(self) -> float:
-        return math.inf
-
-
-@dataclass(frozen=True)
-class SampledTemperature:
-    """Temperature backed by a :class:`TemperatureSeries`."""
-
-    series: TemperatureSeries
-
-    def at(self, t):
-        return self.series.at(t)
-
-    @property
-    def breakpoints(self) -> np.ndarray | None:
-        return self.series.times
-
-    @property
-    def t_max(self) -> float:
-        return self.series.t_max
-
-
-@dataclass(frozen=True)
-class PerturbedTemperature:
-    """Analytic base plus a scaled piecewise-linear noise path.
-
-    T(t) = base(t) + rho * v(t), with v linearly interpolated on a uniform
-    grid of spacing ``dt``.  With ``rho == 0`` the noise path is ignored and
-    the source reduces exactly to the base.
+    ``terms`` holds the (a_i, Omega_i, phi_i).  L interpolates the table
+    (``knots``, ``values``) linearly -- a sampled record or a noise path -- and
+    is zero without one.  T is defined on [knots[0], knots[-1]], or for all t
+    without a table; elsewhere it raises :class:`TemperatureDomainError`.
+    Absent parts add exact zeros, so a drive of one part evaluates to that
+    part's bits.
     """
 
-    base: Callable[[np.ndarray], np.ndarray]
-    noise_values: np.ndarray
-    dt: float
-    rho: float
-    # the noise grid, built once: solvers read it per stick and per sub-phase
-    breakpoints: np.ndarray | None = field(init=False, repr=False, compare=False)
+    offset: float = 0.0
+    slope: float = 0.0
+    terms: tuple[tuple[float, float, float], ...] = ()
+    knots: np.ndarray | None = None
+    values: np.ndarray | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "noise_values", np.asarray(self.noise_values, dtype=float)
-        )
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        object.__setattr__(self, "breakpoints", None if self.rho == 0.0
-                           else self.dt * np.arange(len(self.noise_values)))
+        terms = tuple((float(a), float(w), float(ph)) for a, w, ph in self.terms)
+        object.__setattr__(self, "terms", terms)
+        _require_finite("drive parameters", self.offset, self.slope, self.scale,
+                        *(v for term in terms for v in term))
+        if (self.knots is None) != (self.values is None):
+            raise ValueError("a drive table needs both knots and values")
+        if self.knots is not None:
+            table = TemperatureSeries(self.knots, self.values)
+            object.__setattr__(self, "knots", table.times)
+            object.__setattr__(self, "values", table.temps)
 
     @property
     def t_max(self) -> float:
-        if self.rho == 0.0:
-            return math.inf
-        return (len(self.noise_values) - 1) * self.dt
+        return math.inf if self.knots is None else float(self.knots[-1])
 
     def at(self, t):
-        base = self.base(np.asarray(t, dtype=float) if not np.isscalar(t) else t)
-        if self.rho == 0.0:
-            return base
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.size and (t_arr.min() < 0 or t_arr.max() > self.t_max):
-            raise TemperatureDomainError(
-                f"time outside noise-path range [0, {self.t_max}]"
-            )
-        return base + self.rho * np.interp(t_arr, self.breakpoints, self.noise_values)
-
-
-TemperatureSource = Union[AnalyticTemperature, SampledTemperature, PerturbedTemperature]
-
-
-def constant_temperature(value: float) -> AnalyticTemperature:
-    return AnalyticTemperature(lambda t: np.full_like(np.asarray(t, dtype=float), value)
-                               if not np.isscalar(t) else float(value))
+        """T at time(s) ``t``: a float for a number, an array for an array."""
+        scalar = isinstance(t, (float, int))  # numbers skip numpy's dispatch
+        if scalar:
+            value, cos = self.offset, math.cos
+        else:
+            t = np.asarray(t, dtype=float)
+            value, cos = np.full(t.shape, self.offset), np.cos
+        if self.slope:
+            value = value + self.slope * t
+        for a, w, ph in self.terms:
+            value = value + a * cos(w * t + ph)
+        if self.knots is None:
+            return value
+        if scalar or t.size:
+            lo, hi = (t, t) if scalar else (t.min(), t.max())
+            if not (self.knots[0] <= lo and hi <= self.knots[-1]):
+                raise TemperatureDomainError(
+                    f"time outside the drive's table "
+                    f"[{self.knots[0]}, {self.knots[-1]}]")
+        return value + self.scale * np.interp(t, self.knots, self.values)
 
 
 # --------------------------------------------------------------------------
-# Forcing models
+# The forcing
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HarmonicForcing:
-    """Harmonically driven unit spring with viscous damping:
-
-    b(x, x', t) = beta * cos(Omega * t) - 2 * alpha * x' - x
-    """
-
-    beta: float
-    Omega: float
-    alpha: float = 0.0
-
-    K = 1.0  # the unit spring
-
-    @property
-    def damping(self) -> float:
-        return 2.0 * self.alpha
-
-    def force(self, x, v, t):
-        if np.isscalar(t) and np.isscalar(x):
-            return self.beta * math.cos(self.Omega * t) - 2.0 * self.alpha * v - x
-        return self.beta * np.cos(self.Omega * np.asarray(t, dtype=float)) \
-            - 2.0 * self.alpha * np.asarray(v) - np.asarray(x)
-
-    @property
-    def t_max(self) -> float:
-        return math.inf
-
-    @property
-    def breakpoints(self) -> np.ndarray | None:
-        return None
-
 
 @dataclass(frozen=True)
 class TemperatureSpringForcing:
-    """Spring pulled toward the dilatation target:  b(x, t) = K * (beta*T(t) - x)."""
+    """Spring of stiffness K pulled toward the dilatation target beta*T(t),
+    with viscous damping c:
+
+        b(x, x', t) = K * (beta*T(t) - x) - c * x'
+
+    The one forcing: a bearing's thermal dilatation pulls the spring through a
+    temperature record, and Shaw's harmonic drive is K = 1, c = 2*alpha,
+    T = cos(Omega t) (:func:`HarmonicForcing`).
+    """
 
     K: float
     beta: float
-    T: TemperatureSource
-
-    damping = 0.0
-    Omega = 0.0  # no drive of its own: the temperature source sets the pace
+    T: Drive
+    c: float = 0.0
 
     def __post_init__(self):
+        _require_finite("forcing parameters", self.K, self.beta, self.c)
         if not self.K > 0:
             raise ValueError(f"stiffness K must be positive, got {self.K}")
 
-    def force(self, x, v, t):
-        return self.K * (self.beta * self.T.at(t) - x)
 
-    @property
-    def t_max(self) -> float:
-        return self.T.t_max
+def HarmonicForcing(beta: float, Omega: float,
+                    alpha: float = 0.0) -> TemperatureSpringForcing:
+    """Shaw's harmonically driven unit spring with viscous damping,
 
-    @property
-    def breakpoints(self) -> np.ndarray | None:
-        return self.T.breakpoints
+        b(x, x', t) = beta * cos(Omega t) - 2 alpha x' - x,
 
-
-# Both forcings are linear in the state, b(x, x', t) = b(0, 0, t) - damping*x'
-# - K*x, and ``breakpoints`` lists the times where b(0, 0, t) may have a kink.
-ForcingModel = Union[HarmonicForcing, TemperatureSpringForcing]
+    as the one forcing with K = 1, c = 2 alpha and T = cos(Omega t)."""
+    return TemperatureSpringForcing(K=1.0, beta=beta,
+                                    T=Drive(terms=((1.0, Omega, 0.0),)),
+                                    c=2.0 * alpha)
 
 
-def eval_forcing(f: ForcingModel, x, v, t):
+def eval_forcing(f: TemperatureSpringForcing, x, v, t):
     """Evaluate the applied (non-friction) force b(x, x', t)."""
-    return f.force(x, v, t)
+    return f.K * (f.beta * f.T.at(t) - x) - f.c * v
 
 
-def natural_frequency(f: ForcingModel, p: FrictionParams | None = None) -> float:
+def natural_frequency(f: TemperatureSpringForcing,
+                      p: FrictionParams | None = None) -> float:
     """Undamped oscillation rate sqrt(K/m) of the spring-mass system during
     slips; without friction parameters the mass is taken as one."""
     return math.sqrt(f.K / (1.0 if p is None else p.m))
 
 
-def horizon(t_end: float, domain) -> float:
-    """End of a run: ``t_end``, capped where the forcing (or the temperature
-    record, or any object with a ``t_max``) stops being defined."""
-    return min(t_end, domain.t_max)
+def horizon(t_end: float, T: Drive) -> float:
+    """End of a run: ``t_end``, capped where the drive stops being defined."""
+    return min(t_end, T.t_max)
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +285,8 @@ class EventLog:
     def of_kind(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
 
-    def validate(self, f: ForcingModel, p: FrictionParams, tol: float) -> None:
+    def validate(self, f: TemperatureSpringForcing, p: FrictionParams,
+                 tol: float) -> None:
         """Check ordering, alternation and threshold conditions.
 
         ``tol`` is the solver's event accuracy: the exact engine passes its

@@ -13,11 +13,11 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .model import PerturbedTemperature, TemperatureSeries
+from .model import Drive, TemperatureSeries
 
 __all__ = [
     "OuPath",
@@ -66,16 +66,16 @@ def ou_path(n: int, dt: float, seed: int) -> OuPath:
     return OuPath(dt=dt, values=np.array(values), seed=seed)
 
 
-def perturbed_temperature(Omega: float, rho: float, path: OuPath) -> PerturbedTemperature:
-    """Temperature source T(t) = cos(Omega*t) + rho * v(t).
+def perturbed_temperature(Omega: float, rho: float, path: OuPath) -> Drive:
+    """The drive T(t) = cos(Omega*t) + rho * v(t), v the path interpolated.
 
-    With rho = 0 the result evaluates to cos(Omega*t) exactly and is defined
-    for all t; otherwise evaluation is restricted to the path's time range.
+    With rho = 0 the drive is cos(Omega*t) alone, defined for all t;
+    otherwise it is defined on the path's time range.
     """
-    base: Callable = lambda t: np.cos(Omega * t) if not np.isscalar(t) \
-        else math.cos(Omega * t)
-    return PerturbedTemperature(base=base, noise_values=path.values,
-                                dt=path.dt, rho=rho)
+    wave = ((1.0, Omega, 0.0),)
+    if rho == 0.0:
+        return Drive(terms=wave)
+    return Drive(terms=wave, knots=path.times(), values=path.values, scale=rho)
 
 
 class SeriesParseError(ValueError):
@@ -86,14 +86,18 @@ class SeriesParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-def _numeric_rows(stream: TextIO, n_cols: int):
-    """Yield (line number, values) for each data row of a column file.
+def _parse_columns(stream: TextIO, n_cols: int) -> list[np.ndarray]:
+    """Parse delimited numeric columns whose first column (time) is strictly
+    increasing.
 
     Fields are separated by commas or whitespace, '#' starts a comment, and a
     single non-numeric first row is accepted as a header.  Every field must
-    be a finite number.
+    be a finite number.  Violations raise :class:`SeriesParseError` naming
+    the offending line.
     """
+    rows: list[list[float]] = []
     header_allowed = True
+    prev_line = 0
     for line_no, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,37 +117,21 @@ def _numeric_rows(stream: TextIO, n_cols: int):
             )
         if not all(map(math.isfinite, values)):
             raise SeriesParseError(line_no, f"non-finite field in {line!r}")
-        yield line_no, values
-
-
-def _parse_columns(stream: TextIO, n_cols: int) -> list[np.ndarray]:
-    """Parse delimited numeric columns (see :func:`_numeric_rows`)."""
-    rows = [values for _, values in _numeric_rows(stream, n_cols)]
+        if rows and values[0] <= rows[-1][0]:
+            raise SeriesParseError(
+                line_no,
+                f"time {values[0]} not increasing (previous {rows[-1][0]} "
+                f"on line {prev_line})",
+            )
+        rows.append(values)
+        prev_line = line_no
     if not rows:
         raise SeriesParseError(0, "no data rows")
     return [np.array(col) for col in zip(*rows)]
 
 
 def load_temperature_series(source: TextIO | str) -> TemperatureSeries:
-    """Read a (time, temperature) series from a character stream or string.
-
-    Times must be strictly increasing and every field finite; violations
-    raise :class:`SeriesParseError` naming the offending line.
-    """
+    """Read a (time, temperature) series from a character stream or string
+    (see :func:`_parse_columns`)."""
     stream = io.StringIO(source) if isinstance(source, str) else source
-    times: list[float] = []
-    temps: list[float] = []
-    prev_line = 0
-    for line_no, (t, temp) in _numeric_rows(stream, 2):
-        if times and t <= times[-1]:
-            raise SeriesParseError(
-                line_no,
-                f"time {t} not increasing (previous {times[-1]} "
-                f"on line {prev_line})",
-            )
-        times.append(t)
-        temps.append(temp)
-        prev_line = line_no
-    if not times:
-        raise SeriesParseError(0, "no data rows")
-    return TemperatureSeries(np.array(times), np.array(temps))
+    return TemperatureSeries(*_parse_columns(stream, 2))

@@ -63,12 +63,14 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
 
     ``sample_times`` overrides the output grid (values must lie in
     [0, t_end]); the event log is unaffected by sampling.  More than
-    ``max_events`` events raise :class:`SolverCapError`.
+    ``max_events`` events raise :class:`SolverCapError`, and a damped forcing
+    (c != 0) raises ValueError.
     """
-    if not isinstance(f, TemperatureSpringForcing):
-        raise TypeError("quasistatic model requires temperature-spring forcing")
+    if f.c != 0.0:
+        raise ValueError("quasistatic model requires an undamped forcing (c = 0): "
+                         "its slips last half an undamped period")
     half_period = math.pi / natural_frequency(f, p)
-    t_hi = horizon(t_end, f)
+    t_hi = horizon(t_end, f.T)
     cfg = EngineConfig(t_end=t_hi)
     x0 = float(x0)
     dx = 2.0 * (p.f_s - p.f_d) / f.K

@@ -19,17 +19,16 @@ import pytest
 from conftest import vi_residual
 from stickslip import (
     CalibrationProblem,
+    Drive,
     EngineConfig,
     EulerConfig,
     EventKind,
     FitParams,
     FrictionParams,
     HarmonicForcing,
-    SampledTemperature,
     TemperatureSeries,
     TemperatureSpringForcing,
     calibrate,
-    constant_temperature,
     corrected_displacement,
     dynamic_subphase,
     eval_forcing,
@@ -179,7 +178,7 @@ def test_criterion_04_euler_event_convergence():
 # --------------------------------------------------------------------------
 
 def test_criterion_05_constant_temperature_closed_form():
-    f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(1.0))
+    f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
     p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
     cfg = EngineConfig(t_end=10.0)
     sub = dynamic_subphase(-0.5, 0.0, 1, f, p, cfg)
@@ -200,10 +199,7 @@ def test_criterion_05_constant_temperature_closed_form():
 # --------------------------------------------------------------------------
 
 def test_criterion_06_quasistatic_identities():
-    from stickslip import AnalyticTemperature
-    ramp = TemperatureSpringForcing(
-        K=1.0, beta=1.0,
-        T=AnalyticTemperature(lambda t: 0.1 * np.asarray(t)))
+    ramp = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(slope=0.1))
     p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
     traj = simulate_quasistatic(0.0, ramp, p, 50.0)
     events = list(traj.events)
@@ -297,7 +293,7 @@ def test_criterion_09_calibration_round_trip():
         + 1.5 * np.asarray(ou_path(n, 600 / 86400.0, 20250810).values)
     series = TemperatureSeries(times, temps)
     f = TemperatureSpringForcing(K=truth.K, beta=truth.beta,
-                                 T=SampledTemperature(series))
+                                 T=Drive(knots=series.times, values=series.temps))
     p = FrictionParams(m=1.0, f_d=truth.f_d, f_s=truth.f_s)
     traj = simulate_quasistatic(truth.beta * temps[0], f, p, float(times[-1]),
                                 sample_times=times)

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from stickslip import (
     CalibrationProblem,
     FitParams,
+    Drive,
     FrictionParams,
-    SampledTemperature,
     TemperatureSeries,
     TemperatureSpringForcing,
     calibrate,
@@ -18,7 +18,27 @@ from stickslip import (
     ou_path,
     simulate_quasistatic,
 )
-from stickslip.calibrate import PARAM_NAMES, _from_unit, _to_unit
+from stickslip.calibrate import PARAM_NAMES, _from_unit
+
+
+def _to_unit(params: FitParams, bounds: dict[str, tuple[float, float]]) -> np.ndarray:
+    """Inverse of :func:`stickslip.calibrate._from_unit`."""
+    lo_z, hi_z = bounds["z0"]
+    lo_K, hi_K = bounds["K"]
+    lo_b, hi_b = bounds["beta"]
+    lo_fd, hi_fd = bounds["f_d"]
+    lo_fs, hi_fs = bounds["f_s"]
+    fd_hi = min(hi_fd, hi_fs)
+    fs_lo = max(lo_fs, params.f_d)
+    span = lambda v, lo, hi: 0.0 if hi == lo else (v - lo) / (hi - lo)
+    return np.array([
+        span(params.z0, lo_z, hi_z),
+        span(params.K, lo_K, hi_K),
+        span(params.beta, lo_b, hi_b),
+        span(params.f_d, lo_fd, fd_hi),
+        span(params.f_s, fs_lo, hi_fs),
+    ])
+
 
 BOUNDS = dict(z0=(-0.05, 0.05), K=(2e5, 8e6), beta=(2e-5, 5e-4),
               f_d=(1e3, 2e4), f_s=(2e3, 3e4))
@@ -35,7 +55,7 @@ def make_record(n=4000, seed=11, noise=0.0, noise_seed=99,
         + 1.5 * np.asarray(ou_path(n, 600 / 86400.0, seed).values)
     series = TemperatureSeries(times, temps)
     f = TemperatureSpringForcing(K=truth.K, beta=truth.beta,
-                                 T=SampledTemperature(series))
+                                 T=Drive(knots=series.times, values=series.temps))
     p = FrictionParams(m=1.0, f_d=truth.f_d, f_s=truth.f_s)
     x0 = truth.beta * temps[0]
     traj = simulate_quasistatic(x0, f, p, float(times[-1]), sample_times=times)

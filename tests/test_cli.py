@@ -8,18 +8,37 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stickslip import cli, ou_path, simulate_quasistatic
+from stickslip import (PhaseLabel, SeriesParseError, Trajectory, cli, ou_path,
+                       simulate_quasistatic)
 from stickslip.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
     EXIT_SOLVER,
     main,
-    read_trajectory,
 )
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def read_trajectory(path: Path) -> Trajectory:
+    """Parse a trajectory column file back; phase is inferred from the
+    stick signature v = 0 and friction = b."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                rows.append([float(tok) for tok in line.split()])
+    data = np.array(rows)
+    if data.ndim != 2 or data.shape[1] != 5:
+        raise SeriesParseError(0, "expected 5 columns (t x v friction b)")
+    t, x, v, fr, b = data.T
+    static = (v == 0.0) & (fr == b)
+    phase = np.where(static, PhaseLabel.STATIC.value,
+                     PhaseLabel.DYNAMIC.value).astype(np.int8)
+    return Trajectory(t=t, x=x, v=v, friction=fr, b=b, phase=phase)
 
 
 def _pythonpath_env():
@@ -213,14 +232,15 @@ class TestOuGenCommand:
 
 
 def _write_record(tmp_path, n=900, noise_seed=5):
-    from stickslip import (FrictionParams, SampledTemperature, TemperatureSeries,
+    from stickslip import (Drive, FrictionParams, TemperatureSeries,
                            TemperatureSpringForcing, corrected_displacement,
                            simulate_quasistatic)
     times = 600.0 * np.arange(n)
     days = times / 86400.0
     temps = 60 * np.sin(2 * np.pi * days / 4) + 5 * np.sin(2 * np.pi * days)
     series = TemperatureSeries(times, temps)
-    f = TemperatureSpringForcing(K=2e6, beta=1e-4, T=SampledTemperature(series))
+    f = TemperatureSpringForcing(K=2e6, beta=1e-4,
+                                 T=Drive(knots=series.times, values=series.temps))
     p = FrictionParams(m=1.0, f_d=5000.0, f_s=8000.0)
     traj = simulate_quasistatic(1e-4 * temps[0], f, p, float(times[-1]),
                                 sample_times=times)
@@ -284,6 +304,17 @@ class TestCalibrateCommand:
         assert rc == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
 
+    def test_repeated_time_names_line(self, tmp_path, capsys):
+        data = tmp_path / "repeat.csv"
+        data.write_text("# t T z\n0,1,2\n600,1.5,3\n600,2,4\n1200,1,2\n")
+        _, bounds = _write_record(tmp_path)
+        rc = main(["calibrate", "--data", str(data), "--bounds", str(bounds),
+                   "--budget", "150", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 4" in err
+        assert "line 0" not in err
+
     def test_bad_bounds_file(self, tmp_path):
         data, _ = _write_record(tmp_path)
         bad = tmp_path / "badbounds.txt"
@@ -315,6 +346,20 @@ class TestShippedDataset:
         assert abs(beta - 1e-4) / 1e-4 < 0.05
         assert abs(f_d - 5000.0) / 5000.0 < 0.05
         assert abs(f_s - 8000.0) / 8000.0 < 0.05
+
+
+    def test_demo_script_regenerates_the_shipped_files(self, tmp_path):
+        # the demo record is calibrate-demo's input: the noise path, the
+        # quasistatic model and the drive must keep reproducing it
+        root = SRC.parent
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "make_demo_data.py"),
+             str(tmp_path)], env=_pythonpath_env(), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for name in ("demo_record.csv", "demo_bounds.txt"):
+            assert (tmp_path / name).read_bytes() == \
+                (root / "data" / name).read_bytes(), name
 
 
 class TestModuleEntryPoint:
@@ -366,6 +411,32 @@ class TestNonFiniteInput:
         assert proc.returncode == EXIT_DATA
         assert "line 151" in proc.stderr
         assert not (tmp_path / "fit.best.txt").exists()
+
+
+class TestBadNumbers:
+    """A non-finite float flag, or a --t-end, --h or --ou-dt that is not
+    positive, is a config error with a one-line message: never a hang, a
+    traceback or NaN rows."""
+
+    @pytest.mark.parametrize("args", [
+        ["--solver", "events", "--forcing", "shaw", "--t-end", "inf"],
+        ["--solver", "quasistatic", "--forcing", "thermal", "--K", "inf",
+         "--t-end", "10"],
+        ["--forcing", "thermal", "--t-end", "inf"],
+        ["--solver", "euler", "--h", "0.01", "--forcing", "shaw", "--t-end", "inf"],
+        ["--beta", "nan", "--t-end", "10"],
+        ["--omega", "nan", "--t-end", "10"],
+        ["--forcing", "shaw", "--alpha", "nan", "--t-end", "10"],
+        ["--x0", "nan", "--t-end", "10"],
+        ["--t-end", "-1"],
+        ["--ou-dt", "0", "--t-end", "10"],
+        ["--solver", "euler", "--h", "-0.01", "--t-end", "10"],
+    ])
+    def test_simulate_rejects(self, tmp_path, args):
+        proc = run_module("simulate", *args, "--out", tmp_path / "r", timeout=30)
+        assert proc.returncode == EXIT_CONFIG
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert not (tmp_path / "r.txt").exists()
 
 
 class TestBenchmarkTracerHooks:

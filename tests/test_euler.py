@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import vi_residual
 from stickslip import (
+    Drive,
     EulerConfig,
     EventKind,
     FrictionParams,
     HarmonicForcing,
     PhaseLabel,
     TemperatureSpringForcing,
-    constant_temperature,
     eval_forcing,
     shrink,
     simulate_euler,
@@ -74,7 +74,7 @@ class TestShrink:
 def _const_forcing(b_value):
     """Forcing with b identically b_value at x = 0 (K=1, beta=b_value, T=1)."""
     return TemperatureSpringForcing(K=1.0, beta=float(b_value),
-                                    T=constant_temperature(1.0))
+                                    T=Drive(offset=1.0))
 
 
 def _one_step(x0, b_value, p, h):
@@ -147,7 +147,7 @@ class TestEulerSteps:
 
 class TestSimulateEuler:
     def test_static_forever(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(0.5))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.5))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         traj = simulate_euler(0.0, f, p, EulerConfig(h=0.01, n_steps=1000))
         assert np.all(traj.x == 0.0)
@@ -206,7 +206,7 @@ class TestSimulateEuler:
     def test_convergence_on_constant_forcing_slip(self):
         # slip phase with closed form x(t) = x* + (x0 - x*) cos t,
         # x* = beta*T - eps*f_d/K; error halves when h halves
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.2)
         x0 = -0.5
         errs = []

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from stickslip import events
 from stickslip import (
-    AnalyticTemperature,
+    Drive,
     EngineConfig,
     EventKind,
     FrictionParams,
@@ -15,7 +15,6 @@ from stickslip import (
     MaxSubphasesError,
     PhaseLabel,
     TemperatureSpringForcing,
-    constant_temperature,
     dynamic_subphase,
     eval_forcing,
     next_departure,
@@ -77,14 +76,13 @@ def _fig_oracle():
 
 class TestNextDeparture:
     def test_linear_ramp(self):
-        f = TemperatureSpringForcing(
-            K=1.0, beta=1.0, T=AnalyticTemperature(lambda t: 0.1 * np.asarray(t)))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(slope=0.1))
         cfg = EngineConfig(t_end=50.0, root_tol=1e-6)
         t = next_departure(0.0, 0.0, f, 1.0, cfg)
         assert t == pytest.approx(10.0, abs=1e-6)
 
     def test_static_forever(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(0.5))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.5))
         cfg = EngineConfig(t_end=100.0)
         assert math.isinf(next_departure(0.0, 0.0, f, 1.2, cfg))
 
@@ -126,7 +124,7 @@ class TestDynamicSubphase:
         self.cfg = EngineConfig(t_end=50.0, root_tol=1e-9)
 
     def test_constant_temperature_closed_form(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
         sub = dynamic_subphase(-0.5, 0.0, 1, f, p, self.cfg)
         assert sub.tau_next == pytest.approx(math.pi, abs=1e-9)
@@ -136,35 +134,35 @@ class TestDynamicSubphase:
         assert np.max(np.abs(sub.path_x - closed)) < 1e-8
 
     def test_equal_coefficients_return_to_start(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
         p = FrictionParams(m=1.0, f_d=1.5, f_s=1.5)
         sub = dynamic_subphase(-0.5, 0.0, 1, f, p, self.cfg)
         assert sub.x_next == pytest.approx(-0.5, abs=1e-8)
 
     def test_free_oscillator_half_period(self):
-        f = TemperatureSpringForcing(K=1.0, beta=0.0, T=constant_temperature(0.0))
+        f = TemperatureSpringForcing(K=1.0, beta=0.0, T=Drive(offset=0.0))
         p = FrictionParams(m=1.0, f_d=0.0, f_s=0.0)
         sub = dynamic_subphase(1.0, 0.0, -1, f, p, self.cfg)
         assert sub.tau_next == pytest.approx(math.pi, abs=1e-9)
         assert sub.x_next == pytest.approx(-1.0, abs=1e-9)
 
     def test_harmonic_and_temperature_spring_agree(self):
-        # HarmonicForcing(beta, Om, 0) and a unit temperature spring pulled by
-        # T = cos(Om t) are the same ODE, so the one integrator must agree
+        # HarmonicForcing(6, Om, 0) and a unit spring with beta = 2 pulled by
+        # T = 3 cos(Om t) are the same ODE, so the one integrator must agree
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         for x0, tau, eps, Om in [(6.0, 4.0 * math.acos(0.8), -1, 0.25),
                                  (-6.24223, 14.8577, 1, 0.25),
                                  (0.5, 1.0, 1, 0.7)]:
             harmonic = HarmonicForcing(beta=6.0, Omega=Om, alpha=0.0)
             spring = TemperatureSpringForcing(
-                K=1.0, beta=6.0, T=AnalyticTemperature(lambda t: np.cos(Om * t)))
+                K=1.0, beta=2.0, T=Drive(terms=((3.0, Om, 0.0),)))
             s_h = dynamic_subphase(x0, tau, eps, harmonic, p, self.cfg)
             s_t = dynamic_subphase(x0, tau, eps, spring, p, self.cfg)
             assert abs(s_h.tau_next - s_t.tau_next) < 1e-12
             assert abs(s_h.x_next - s_t.x_next) < 1e-12
 
     def test_scaled_stiffness_half_period(self):
-        f = TemperatureSpringForcing(K=4.0, beta=1.0, T=constant_temperature(1.0))
+        f = TemperatureSpringForcing(K=4.0, beta=1.0, T=Drive(offset=1.0))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=2.0)
         sub = dynamic_subphase(0.0, 0.0, 1, f, p, self.cfg)
         assert sub.tau_next == pytest.approx(math.pi / 2.0, abs=1e-9)
@@ -193,7 +191,7 @@ class TestDynamicSubphase:
         assert sub.x_next == pytest.approx(x2_oracle, abs=1e-5)
 
     def test_horizon_truncation(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
         sub = dynamic_subphase(-0.5, 0.0, 1, f, p, EngineConfig(t_end=1.0))
         assert sub.truncated
@@ -223,7 +221,7 @@ class TestDynamicSubphase:
     def test_path_samples_are_the_scan_grid(self, harmonic_forcing,
                                             harmonic_params):
         # interior samples sit exactly at tau + i*step, across chunks and
-        # with quadrature panels split at noise breakpoints
+        # with panels split at noise breakpoints
         T = perturbed_temperature(0.25, 0.25, ou_path(3001, 0.01, 0))
         noisy = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
         cfg = EngineConfig(t_end=30.0, bracket_dt=0.05)
@@ -234,6 +232,71 @@ class TestDynamicSubphase:
             assert len(i) > 50
             assert np.array_equal(sub.path_t[1:-1], tau + i * 0.05)
             assert not sub.truncated
+
+    @staticmethod
+    def _against_adaptive_integration(f, p, x0, tau, eps, drive, t_end):
+        """A sub-phase against solve_ivp on m x'' = K(beta T - x) - c x' -
+        eps f_d, with T written out by ``drive``: the end and the path."""
+        from scipy.integrate import solve_ivp
+
+        def rhs(t, y):
+            return [y[1], (f.K * (f.beta * drive(t) - y[0]) - f.c * y[1]
+                           - eps * p.f_d) / p.m]
+
+        def v_zero(t, y):
+            return y[1]
+        v_zero.terminal, v_zero.direction = True, -eps
+        sol = solve_ivp(rhs, [tau, t_end], [x0, eps * 1e-14], events=v_zero,
+                        rtol=1e-12, atol=1e-14, max_step=0.05, dense_output=True)
+        sub = dynamic_subphase(x0, tau, eps, f, p, EngineConfig(t_end=t_end))
+        assert not sub.truncated
+        assert sub.tau_next == pytest.approx(sol.t_events[0][0], abs=1e-6)
+        assert sub.x_next == pytest.approx(sol.y_events[0][0][0], abs=1e-6)
+        assert np.max(np.abs(sub.path_x - sol.sol(sub.path_t)[0])) < 1e-6
+        assert np.max(np.abs(sub.path_v - sol.sol(sub.path_t)[1])) < 1e-6
+
+    def test_every_drive_part_against_adaptive_integration(self):
+        # offset, slope, two cosine terms and a scaled table at once, damped:
+        # each part's closed-form particular solution, summed per panel
+        knots = np.linspace(0.0, 20.0, 41)
+        values = np.sin(1.3 * knots) ** 2
+        T = Drive(offset=0.5, slope=0.05, terms=((1.0, 0.7, 0.3), (0.4, 1.9, -1.0)),
+                  knots=knots, values=values, scale=0.8)
+        f = TemperatureSpringForcing(K=2.0, beta=1.5, T=T, c=0.3)
+        p = FrictionParams(m=1.3, f_d=0.4, f_s=0.6)
+
+        def drive(t):
+            return 0.5 + 0.05 * t + math.cos(0.7 * t + 0.3) \
+                + 0.4 * math.cos(1.9 * t - 1.0) + 0.8 * np.interp(t, knots, values)
+        assert eval_forcing(f, -3.0, 0.0, 2.0) > p.f_s
+        self._against_adaptive_integration(f, p, -3.0, 2.0, 1, drive, 20.0)
+
+    @pytest.mark.parametrize("K, Om", [
+        (4.0, 2.0),  # the secular branch away from unit values
+        (2.0, math.sqrt(2.0)),  # K - m Om^2 = -4e-16: resonant up to rounding
+    ])
+    def test_resonant_thermal_cosine_against_adaptive_integration(self, K, Om):
+        f = TemperatureSpringForcing(K=K, beta=1.0,
+                                     T=Drive(terms=((2.0, Om, 0.5),)))
+        p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
+
+        def drive(t):
+            return 2.0 * math.cos(Om * t + 0.5)
+        assert eval_forcing(f, 3.0, 0.0, 1.0) < -p.f_s
+        self._against_adaptive_integration(f, p, 3.0, 1.0, -1, drive, 20.0)
+
+    def test_fast_thermal_cosine_sets_the_scan_step(self):
+        # a drive faster than the slip oscillation, Omega = 2 > sqrt(K/m) = 1,
+        # is scanned at 1/64 of its own period
+        f = TemperatureSpringForcing(K=1.0, beta=6.0,
+                                     T=Drive(terms=((1.0, 2.0, 0.0),)))
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+        step = (2.0 * math.pi / 2.0) / 64.0
+        assert events._scan_step(f, p, EngineConfig(t_end=10.0)) == step
+        traj = simulate_events(6.0, f, p, EngineConfig(t_end=10.0))
+        stick = traj.t[traj.t < traj.events[1].time]
+        assert len(stick) > 5
+        assert np.array_equal(stick, step * np.arange(len(stick)))
 
     def test_newton_cost_per_subphase_root(self, harmonic_forcing,
                                            harmonic_params, monkeypatch):
@@ -260,7 +323,7 @@ class TestDynamicSubphase:
         # from any start with |b| > f_d the slip lasts pi*sqrt(m/K) and lands
         # mirrored about the shifted equilibrium x* = beta*T - eps*f_d/K
         f = TemperatureSpringForcing(K=K, beta=1.0,
-                                     T=constant_temperature(target))
+                                     T=Drive(offset=target))
         p = FrictionParams(m=m, f_d=f_d, f_s=f_d + gap)
         eps = sign
         x0 = target - eps * (f_d + offset) / K  # b(x0) = eps*(f_d + offset)
@@ -272,13 +335,14 @@ class TestDynamicSubphase:
         assert sub.x_next == pytest.approx(2 * x_star - x0, abs=1e-7)
 
     def test_linear_ramp_closed_form_through_sampled_series(self):
-        # T(t) = 0.1 t sampled at 0.25 spacing: the quadrature panels split at
+        # T(t) = 0.1 t sampled at 0.25 spacing: the propagator's panels split at
         # every sample breakpoint, and the slip from x = 0 at t = 10 solves
         # x'' + x = 0.1 t - 0.5 with x(t) = 0.1t - 0.5 - 0.5 cos(t-10) - 0.1 sin(t-10)
-        from stickslip import SampledTemperature, TemperatureSeries
+        from stickslip import TemperatureSeries
         times = 0.25 * np.arange(81)
         series = TemperatureSeries(times, 0.1 * times)
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=SampledTemperature(series))
+        f = TemperatureSpringForcing(
+            K=1.0, beta=1.0, T=Drive(knots=series.times, values=series.temps))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         sub = dynamic_subphase(0.0, 10.0, 1, f, p, EngineConfig(t_end=20.0))
 
@@ -294,7 +358,7 @@ class TestDynamicSubphase:
 
 class TestSimulateEvents:
     def test_static_forever_log(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(0.5))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.5))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         traj = simulate_events(0.0, f, p, EngineConfig(t_end=50.0))
         assert len(traj.events) == 1
@@ -325,7 +389,7 @@ class TestSimulateEvents:
         traj.events.validate(harmonic_forcing, harmonic_params, tol=1e-5)
 
     def test_starts_dynamic_when_threshold_exceeded(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(2.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=2.0))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
         traj = simulate_events(0.0, f, p, EngineConfig(t_end=10.0))
         assert traj.events[0].kind == EventKind.ENTER_DYNAMIC
@@ -333,8 +397,8 @@ class TestSimulateEvents:
 
     def test_exact_boundary_start(self):
         # |b(x0, 0)| = f_s exactly: static with immediate departure
-        f = TemperatureSpringForcing(
-            K=1.0, beta=1.0, T=AnalyticTemperature(lambda t: 1.5 + 0.1 * np.asarray(t)))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(offset=1.5, slope=0.1))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
         traj = simulate_events(0.0, f, p, EngineConfig(t_end=5.0))
         kinds = [e.kind for e in traj.events]
@@ -437,7 +501,8 @@ class TestSimulateEvents:
     @pytest.mark.parametrize("alpha, Om", [
         (1.0, 0.25),  # critically damped: delta^2 = 0
         (2.0, 0.25),  # overdamped
-        (0.0, 1.0),   # resonant drive
+        (0.0, 1.0),   # resonant drive: the secular particular solution
+        (0.0, 1.0 - 1e-6),  # next to resonance: steady amplitude 3e6
     ])
     def test_damping_regimes_against_adaptive_integration(self, harmonic_params,
                                                           alpha, Om):

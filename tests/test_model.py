@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stickslip import (
-    AnalyticTemperature,
+    Drive,
     Event,
     EventKind,
     EventLog,
@@ -15,11 +15,10 @@ from stickslip import (
     TemperatureSeries,
     TemperatureSpringForcing,
     Trajectory,
-    constant_temperature,
     eval_forcing,
     friction_force,
 )
-from stickslip.model import SampledTemperature, TemperatureDomainError
+from stickslip.model import TemperatureDomainError
 
 
 class TestFrictionParams:
@@ -37,7 +36,7 @@ class TestFrictionParams:
 
 class TestEvalForcing:
     def test_temperature_spring_direct(self):
-        f = TemperatureSpringForcing(K=1.0, beta=6.0, T=constant_temperature(1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=6.0, T=Drive(offset=1.0))
         assert eval_forcing(f, 0.0, 0.0, 0.0) == 6.0
 
     def test_harmonic_at_start(self):
@@ -65,7 +64,7 @@ class TestEvalForcing:
     def test_affine_in_x_exact(self, x, k, kk):
         # dyadic inputs make the affine identity b(x+d) - b(x) = -K d exact
         f = TemperatureSpringForcing(K=float(kk), beta=2.0,
-                                     T=constant_temperature(3.0))
+                                     T=Drive(offset=3.0))
         delta = math.ldexp(1.0, k)
         lhs = eval_forcing(f, x + delta, 0.0, 0.0) - eval_forcing(f, x, 0.0, 0.0)
         assert lhs == -kk * delta
@@ -73,7 +72,7 @@ class TestEvalForcing:
     @given(x=st.floats(-1e3, 1e3), delta=st.floats(-10, 10),
            K=st.floats(0.01, 1e3))
     def test_affine_in_x(self, x, delta, K):
-        f = TemperatureSpringForcing(K=K, beta=1.0, T=constant_temperature(0.5))
+        f = TemperatureSpringForcing(K=K, beta=1.0, T=Drive(offset=0.5))
         lhs = eval_forcing(f, x + delta, 0.0, 1.0) - eval_forcing(f, x, 0.0, 1.0)
         assert lhs == pytest.approx(-K * delta, rel=1e-9, abs=1e-9)
 
@@ -150,19 +149,27 @@ class TestFrictionForce:
             assert abs(out) <= 0.7
 
 
+def _series_drive(times, temps):
+    """The drive built from a sampled series, as the CLI builds it."""
+    s = TemperatureSeries(np.array(times), np.array(temps))
+    return Drive(knots=s.times, values=s.temps)
+
+
 class TestTemperatureSources:
     def test_series_interpolation_midpoint(self):
-        s = TemperatureSeries(np.array([0.0, 600.0]), np.array([10.0, 10.5]))
-        assert s.at(300.0) == 10.25
-        assert s.at(0.0) == 10.0
-        assert s.at(600.0) == 10.5
+        T = _series_drive([0.0, 600.0], [10.0, 10.5])
+        assert T.at(300.0) == 10.25
+        assert T.at(0.0) == 10.0
+        assert T.at(600.0) == 10.5
 
     def test_series_domain_error(self):
-        s = TemperatureSeries(np.array([0.0, 600.0]), np.array([10.0, 10.5]))
+        T = _series_drive([0.0, 600.0], [10.0, 10.5])
         with pytest.raises(TemperatureDomainError):
-            s.at(601.0)
+            T.at(601.0)
         with pytest.raises(TemperatureDomainError):
-            s.at(-1.0)
+            T.at(-1.0)
+        with pytest.raises(TemperatureDomainError):
+            T.at(np.array([0.0, 601.0]))
 
     def test_series_validation(self):
         with pytest.raises(ValueError):
@@ -171,20 +178,69 @@ class TestTemperatureSources:
             TemperatureSeries(np.array([0.0, 1.0]), np.array([1.0]))
 
     def test_sampled_source_vectorized(self):
-        s = TemperatureSeries(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0]))
-        src = SampledTemperature(s)
-        out = src.at(np.array([0.5, 1.5]))
+        T = _series_drive([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
+        out = T.at(np.array([0.5, 1.5]))
         assert np.allclose(out, [1.0, 1.0])
 
     def test_analytic_source(self):
-        src = AnalyticTemperature(lambda t: np.cos(t))
-        assert src.at(0.0) == 1.0
-        assert math.isinf(src.t_max)
+        T = Drive(terms=((1.0, 1.0, 0.0),))
+        assert T.at(0.0) == 1.0
+        assert math.isinf(T.t_max)
+
+
+class TestDrive:
+    KNOTS, VALUES = np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, -2.0])
+
+    def test_every_part(self):
+        T = Drive(offset=0.5, slope=0.25, terms=((2.0, 1.5, 0.3), (0.5, 4.0, 0.0)),
+                  knots=self.KNOTS, values=self.VALUES, scale=0.5)
+        ts = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+        expect = 0.5 + 0.25 * ts + 2.0 * np.cos(1.5 * ts + 0.3) \
+            + 0.5 * np.cos(4.0 * ts) + 0.5 * np.interp(ts, self.KNOTS, self.VALUES)
+        np.testing.assert_allclose(T.at(ts), expect, rtol=0, atol=1e-14)
+        for t, e in zip(ts.tolist(), expect.tolist()):
+            assert T.at(t) == pytest.approx(e, abs=1e-14)
+        assert T.t_max == 3.0
+        assert T.at(np.array([])).shape == (0,)
+
+    def test_one_part_keeps_its_bits(self):
+        # absent parts add exact zeros: the forcings reproduce their formulas
+        f = HarmonicForcing(beta=6.0, Omega=0.25)
+        for t in np.linspace(0.0, 100.0, 101).tolist():
+            assert eval_forcing(f, 1.3, 0.0, t) == 6.0 * math.cos(0.25 * t) - 1.3
+        ts = np.linspace(0.0, 3.0, 31)
+        T = Drive(knots=self.KNOTS, values=self.VALUES)
+        assert np.array_equal(T.at(ts), np.interp(ts, self.KNOTS, self.VALUES))
+
+    def test_harmonic_is_the_spring_law(self):
+        f = HarmonicForcing(beta=6.0, Omega=0.25, alpha=0.3)
+        assert (f.K, f.beta, f.c) == (1.0, 6.0, 0.6)
+        assert f.T == Drive(terms=((1.0, 0.25, 0.0),))
+        assert eval_forcing(f, 2.0, 0.5, 0.0) == pytest.approx(6.0 - 0.3 - 2.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Drive(offset=math.nan),
+        lambda: Drive(slope=math.inf),
+        lambda: Drive(terms=((1.0, math.nan, 0.0),)),
+        lambda: Drive(terms=((math.inf, 1.0, 0.0),)),
+        lambda: Drive(knots=[0.0, math.inf], values=[0.0, 1.0]),
+        lambda: Drive(knots=[0.0, 1.0], values=[0.0, math.nan]),
+        lambda: Drive(knots=[0.0, 1.0], values=[0.0, 1.0], scale=math.nan),
+        lambda: Drive(knots=[0.0, 1.0]),
+        lambda: TemperatureSpringForcing(K=math.inf, beta=1.0, T=Drive()),
+        lambda: TemperatureSpringForcing(K=1.0, beta=math.nan, T=Drive()),
+        lambda: TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(), c=math.nan),
+        lambda: HarmonicForcing(beta=6.0, Omega=math.nan),
+        lambda: HarmonicForcing(beta=6.0, Omega=0.25, alpha=math.inf),
+    ])
+    def test_rejects_non_finite_parameters(self, make):
+        with pytest.raises(ValueError):
+            make()
 
 
 class TestStateAndEvents:
     def test_event_log_validate(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(1.3))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.3))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.3)
         log = EventLog([
             Event(0.0, EventKind.ENTER_STATIC, 0.0, j=0),
@@ -193,7 +249,7 @@ class TestStateAndEvents:
         log.validate(f, p, tol=1e-9)
 
     def test_event_log_rejects_unsorted(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(0.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.0))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         log = EventLog([
             Event(1.0, EventKind.ENTER_STATIC, 0.0, j=0),
@@ -203,7 +259,7 @@ class TestStateAndEvents:
             log.validate(f, p, tol=1e-9)
 
     def test_event_log_rejects_nonalternating(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(0.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.0))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         log = EventLog([
             Event(0.0, EventKind.ENTER_STATIC, 0.0, j=0),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stickslip import (
+    Drive,
     EngineConfig,
     FrictionParams,
     SeriesParseError,
@@ -115,7 +116,7 @@ class TestLoadTemperatureSeries:
     def test_basic_csv(self):
         s = load_temperature_series("0,10.0\n600,10.5\n")
         assert len(s.times) == 2
-        assert s.at(300.0) == 10.25
+        assert Drive(knots=s.times, values=s.temps).at(300.0) == 10.25
 
     def test_whitespace_and_comments(self):
         s = load_temperature_series("# header comment\n0 10.0\n600 10.5  # eol\n")
@@ -160,4 +161,4 @@ class TestLoadTemperatureSeries:
 
     def test_stream_input(self):
         s = load_temperature_series(io.StringIO("0 1.0\n1 2.0\n"))
-        assert s.at(0.5) == 1.5
+        assert Drive(knots=s.times, values=s.temps).at(0.5) == 1.5

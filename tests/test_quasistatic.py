@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stickslip import (
-    AnalyticTemperature,
+    Drive,
     EngineConfig,
     EventKind,
     FrictionParams,
-    SampledTemperature,
+    HarmonicForcing,
     PhaseLabel,
     SolverCapError,
     TemperatureSeries,
     TemperatureSpringForcing,
-    constant_temperature,
     next_departure,
     ou_path,
     perturbed_temperature,
@@ -42,8 +41,7 @@ def _lattice_loop(temps, x0, K, beta, f_d, f_s):
 
 
 def _ramp_forcing(rate=0.1, K=1.0, beta=1.0):
-    return TemperatureSpringForcing(
-        K=K, beta=beta, T=AnalyticTemperature(lambda t: rate * np.asarray(t)))
+    return TemperatureSpringForcing(K=K, beta=beta, T=Drive(slope=rate))
 
 
 def _first_cycle(traj):
@@ -72,7 +70,7 @@ class TestQuasistaticStep:
         assert np.all(traj.x == 0.0)
 
     def test_static_forever(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=constant_temperature(0.5))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.5))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         traj = simulate_quasistatic(0.0, f, p, 100.0)
         assert [e.kind for e in traj.events] == [EventKind.ENTER_STATIC]
@@ -81,7 +79,8 @@ class TestQuasistaticStep:
     def test_sampled_inversion_is_exact(self):
         series = TemperatureSeries(np.array([0.0, 10.0, 20.0]),
                                    np.array([0.0, 2.0, 0.0]))
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=SampledTemperature(series))
+        f = TemperatureSpringForcing(
+            K=1.0, beta=1.0, T=Drive(knots=series.times, values=series.temps))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         dyn, _ = _first_cycle(simulate_quasistatic(0.0, f, p, 20.0))
         # crossing of 0.2*t = 1.0 on the interpolant
@@ -108,12 +107,12 @@ def _exit_temperatures(x, f_s, K, beta, temperature):
 
 def _sampled_ramp(sign, x=0.0, beta=1.0):
     # T = x/beta + sign*t/2 on [0, 8]: the stick starts at the window's centre
-    return SampledTemperature(TemperatureSeries(
-        np.array([0.0, 8.0]), np.array([x / beta, x / beta + sign * 4.0])))
+    return Drive(knots=np.array([0.0, 8.0]),
+                 values=np.array([x / beta, x / beta + sign * 4.0]))
 
 
 def _analytic_ramp(sign, x=0.0, beta=1.0):
-    return AnalyticTemperature(lambda t: x / beta + sign * 0.1 * np.asarray(t))
+    return Drive(offset=x / beta, slope=sign * 0.1)
 
 
 class TestAdmissibleWindow:
@@ -137,31 +136,26 @@ class TestAdmissibleWindow:
         # the window's stiffness must be positive; beta = 0 is a valid drive
         for K in (0.0, -1.0):
             with pytest.raises(ValueError):
-                TemperatureSpringForcing(K=K, beta=1.0, T=constant_temperature(0.0))
+                TemperatureSpringForcing(K=K, beta=1.0, T=Drive(offset=0.0))
 
 
 class TestWindowSearch:
-    def test_cost_is_linear_in_the_horizon(self):
-        class Counting:
-            """A noisy temperature that counts the points it is read at."""
-
-            def __init__(self, source):
-                self.source, self.points = source, 0
-                self.breakpoints, self.t_max = source.breakpoints, source.t_max
-
-            def at(self, t):
-                self.points += np.size(t)
-                return self.source.at(t)
-
+    def test_cost_is_linear_in_the_horizon(self, monkeypatch):
+        # count the points the noisy drive is read at
+        read = []
+        at = Drive.at
+        monkeypatch.setattr(Drive, "at",
+                            lambda self, t: read.append(np.size(t)) or at(self, t))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         points = {}
         for t_end in (300.0, 3000.0):
             path = ou_path(int(math.ceil(t_end / 0.01)) + 2, 0.01, 0)
-            T = Counting(perturbed_temperature(0.25, 0.25, path))
+            T = perturbed_temperature(0.25, 0.25, path)
             f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
+            read.clear()
             traj = simulate_quasistatic(0.0, f, p, t_end)
             assert len(traj.events) > 100 * t_end / 300.0
-            points[t_end] = T.points
+            points[t_end] = sum(read)
         assert points[3000.0] <= 12 * points[300.0]
 
     @pytest.mark.parametrize("drive", ["ramp", "noisy", "sampled"])
@@ -178,7 +172,8 @@ class TestWindowSearch:
             rng = np.random.default_rng(4)
             times = np.arange(61.0)
             series = TemperatureSeries(times, 1.0 + np.cumsum(rng.normal(0, 0.2, 61)))
-            f = TemperatureSpringForcing(K=1.0, beta=6.0, T=SampledTemperature(series))
+            f = TemperatureSpringForcing(
+                K=1.0, beta=6.0, T=Drive(knots=series.times, values=series.temps))
             x0 = 6.0 * series.temps[0]
         first = [traj.events.of_kind(EventKind.ENTER_DYNAMIC)[0].time for traj in
                  (simulate_quasistatic(x0, f, p, t_end),
@@ -214,7 +209,8 @@ class TestWindowSearch:
         # to below it between samples and crosses the upper edge at 22.5
         series = TemperatureSeries(np.array([0.0, 10.0, 20.0, 30.0]),
                                    np.array([0.0, 2.0, 2.0, -2.0]))
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=SampledTemperature(series))
+        f = TemperatureSpringForcing(
+            K=1.0, beta=1.0, T=Drive(knots=series.times, values=series.temps))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.0)
         traj = simulate_quasistatic(0.0, f, p, 30.0)
         assert [e.kind for e in traj.events] == [
@@ -256,8 +252,8 @@ class TestSimulateQuasistatic:
 
     def test_equal_coefficient_window_alternation(self):
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.0)
-        f = TemperatureSpringForcing(
-            K=1.0, beta=1.0, T=AnalyticTemperature(lambda t: np.cos(0.05 * np.asarray(t))))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((1.0, 0.05, 0.0),)))
         traj = simulate_quasistatic(1.0, f, p, 200.0)
         stats = traj.events.of_kind(EventKind.ENTER_STATIC)
         assert all(e.position == 1.0 for e in stats)
@@ -270,9 +266,8 @@ class TestSimulateQuasistatic:
         # slip increment 2(fs-fd)/K = 1.8 exceeds the drive swing, so each
         # half-cycle of the slow cosine triggers exactly one slip
         p = FrictionParams(m=1.0, f_d=0.1, f_s=1.0)
-        f = TemperatureSpringForcing(
-            K=1.0, beta=1.1,
-            T=AnalyticTemperature(lambda t: np.cos(0.01 * np.asarray(t))))
+        f = TemperatureSpringForcing(K=1.0, beta=1.1,
+                                     T=Drive(terms=((1.0, 0.01, 0.0),)))
         traj = simulate_quasistatic(1.1, f, p, 2000.0)
         eps = [e.epsilon for e in traj.events.of_kind(EventKind.ENTER_DYNAMIC)]
         assert len(eps) >= 3
@@ -296,9 +291,11 @@ class TestSimulateQuasistatic:
         with pytest.raises(SolverCapError, match="exceeded 3 events"):
             simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0, max_events=3)
 
-    def test_quasistatic_requires_thermal(self, harmonic_forcing, harmonic_params):
-        with pytest.raises(TypeError):
-            simulate_quasistatic(6.0, harmonic_forcing, harmonic_params, 10.0)
+    def test_damped_forcing_raises(self, harmonic_params):
+        # the quasistatic slip lasts half an undamped period
+        damped = HarmonicForcing(beta=6.0, Omega=0.25, alpha=0.05)
+        with pytest.raises(ValueError, match="undamped"):
+            simulate_quasistatic(6.0, damped, harmonic_params, 10.0)
 
 
 class TestAgainstEventEngine:
@@ -307,8 +304,7 @@ class TestAgainstEventEngine:
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         errs = {}
         for eps_rate in (1e-2, 1e-3):
-            T = AnalyticTemperature(
-                lambda t, e=eps_rate: np.cos(e * np.asarray(t)))
+            T = Drive(terms=((1.0, eps_rate, 0.0),))
             f = TemperatureSpringForcing(K=1.0, beta=2.0, T=T)
             t_end = math.acos(0.4) / eps_rate + 10.0
             traj = simulate_events(2.0, f, p, EngineConfig(t_end=t_end))
@@ -334,7 +330,8 @@ class TestStickLevelsOnGrid:
         times, temps = self._random_instance(seed)
         K, beta, f_d, f_s = 2e6, 1e-4, 5000.0, 8000.0
         series = TemperatureSeries(times, temps)
-        f = TemperatureSpringForcing(K=K, beta=beta, T=SampledTemperature(series))
+        f = TemperatureSpringForcing(
+            K=K, beta=beta, T=Drive(knots=series.times, values=series.temps))
         p = FrictionParams(m=1.0, f_d=f_d, f_s=f_s)
         x0 = beta * temps[0]
         traj = simulate_quasistatic(x0, f, p, float(times[-1]), sample_times=times)
