@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import TemperatureSeries
-from .quasistatic import stick_levels_on_grid
+from .quasistatic import monotone_runs, stick_levels_on_grid
 
 __all__ = [
     "FitParams",
@@ -69,6 +69,7 @@ class CalibrationProblem:
     seed: int = 0
     shear_force: str = "friction"
     _weights: np.ndarray = field(init=False, repr=False)
+    _runs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.displs = np.asarray(self.displs, dtype=float)
@@ -103,6 +104,7 @@ class CalibrationProblem:
             raise ValueError("f_d <= f_s is infeasible for these bounds")
         dts = np.diff(self.temps.times)
         self._weights = np.concatenate((dts, dts[-1:]))
+        self._runs = monotone_runs(self.temps.temps)
 
     def dt_weights(self) -> np.ndarray:
         """Sample weights of the integrated mismatch: dt_i = t_{i+1} - t_i,
@@ -135,7 +137,7 @@ def model_displacement(params: FitParams, prob: CalibrationProblem) -> np.ndarra
     _, K, beta, f_d, f_s = params
     temps = prob.temps.temps
     x0 = beta * temps[0]
-    levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s)
+    levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s, prob._runs)
     if prob.shear_force == "zero":
         return levels
     stick_force = K * (beta * temps - levels)
@@ -151,11 +153,10 @@ def objective(params, prob: CalibrationProblem) -> float:
     params = FitParams(*params)
     if not (params.K > 0 and 0 <= params.f_d <= params.f_s):
         return math.inf
-    z = params.z0 + model_displacement(params, prob)
-    if not np.all(np.isfinite(z)):
-        return math.inf
-    r = z - prob.displs
-    return float(np.sum(r * r * prob.dt_weights()))
+    r = params.z0 + model_displacement(params, prob) - prob.displs
+    # every weight is positive, so a non-finite z makes the sum non-finite
+    total = float(np.sum(r * r * prob.dt_weights()))
+    return total if math.isfinite(total) else math.inf
 
 
 # --------------------------------------------------------------------------
@@ -214,11 +215,12 @@ def calibrate(prob: CalibrationProblem) -> CalibrationResult:
         evals += 1
 
     idx = np.arange(pop_size)
+    others = [idx[idx != i] for i in range(pop_size)]
     while evals < prob.budget:
         for i in range(pop_size):
             if evals >= prob.budget:
                 break
-            r1, r2, r3 = rng.choice(idx[idx != i], size=3, replace=False)
+            r1, r2, r3 = rng.choice(others[i], size=3, replace=False)
             mutant = np.clip(pop[r1] + _DE_F * (pop[r2] - pop[r3]), 0.0, 1.0)
             cross = rng.random(dim) < _DE_CR
             cross[rng.integers(dim)] = True

@@ -178,14 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """Reject a non-finite number in any float flag, and a --t-end, --h or
-    --ou-dt that is not positive."""
+    """Reject a non-finite number in any float flag, a --t-end, --h or
+    --ou-dt that is not positive, and a --restarts below 1."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
         if name in ("t_end", "h", "ou_dt") and value is not None and value <= 0:
             raise ConfigError(f"{flag} must be positive, got {value}")
+        if name == "restarts" and value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
 
 
 def _merge_config(argv: list[str]) -> list[str]:

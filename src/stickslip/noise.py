@@ -41,10 +41,6 @@ class OuPath:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
-    @property
-    def t_max(self) -> float:
-        return (len(self.values) - 1) * self.dt
-
     def times(self) -> np.ndarray:
         return self.dt * np.arange(len(self.values))
 

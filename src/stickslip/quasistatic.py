@@ -205,9 +205,9 @@ def _play_indices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     With clip(k, a, b) = min(max(k, a), b), a clamp followed by a clamp is a
     clamp,
     clip(clip(k, a1, b1), a2, b2) = clip(k, clip(a1, a2, b2), clip(b1, a2, b2)),
-    so a Hillis-Steele inclusive scan composes the whole record in
+    so a Hillis-Steele inclusive scan composes the whole sequence in
     ceil(log2 n) whole-array passes.  After pass p, (lo_i, hi_i) is the
-    composite clamp of samples i-2^p+1 .. i.  The identity also holds where
+    composite clamp of entries i-2^p+1 .. i.  The identity also holds where
     lo > hi, which clip maps to the constant hi: with f_d = 0 the window is
     exactly one step wide and rounding can leave it without a lattice level
     (lo = hi + 1), and the level then rests at hi.  Overwrites both arrays.
@@ -225,8 +225,32 @@ def _play_indices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(0.0, lo), hi)
 
 
+def monotone_runs(temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a record into monotone runs: (ends, run), computed from T alone.
+
+    ``ends`` holds sample 0 and then the last sample of each run: every
+    turning point of T and the final sample.  ``run[i]`` counts the ends
+    before sample i, so sample i lies in the run that follows ends[run[i] - 1]
+    (sample 0 has run 0).  A plateau extends the run it lies in.  Because
+    beta*T is monotone wherever T is, whatever the sign of beta, the runs of
+    T are runs of every drive built from it.
+    """
+    temps = np.asarray(temps, dtype=float)
+    step = np.sign(np.diff(temps))
+    moves = np.flatnonzero(step)
+    # a move against the previous move starts a run at its first sample
+    turns = moves[1:][step[moves[1:]] != step[moves[:-1]]]
+    is_end = np.zeros(len(temps), dtype=bool)
+    is_end[turns] = True
+    is_end[:1] = is_end[-1:] = True
+    ends = np.flatnonzero(is_end)
+    return ends, np.searchsorted(ends, np.arange(len(temps)))
+
+
 def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
-                         f_d: float, f_s: float) -> np.ndarray:
+                         f_d: float, f_s: float,
+                         runs: tuple[np.ndarray, np.ndarray] | None = None
+                         ) -> np.ndarray:
     """Quasistatic stick level at each sample of a piecewise-linear record.
 
     Equivalent to running :func:`simulate_quasistatic` on the sampled series
@@ -236,8 +260,14 @@ def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
 
     Every level is x0 + k*dx with dx = 2(f_s - f_d)/K, and each sample moves
     the index k the least that brings |beta*T - level| within f_s/K: the
-    play operator of Krasnosel'skii & Pokrovskii on that lattice, computed by
-    :func:`_play_indices`.  With f_d = f_s the level never moves.
+    play operator of Krasnosel'skii & Pokrovskii on that lattice.  On a
+    monotone run the bounds [lo_i, hi_i] are monotone too, so inside a run
+    k_i = clip(k_e, lo_i, hi_i), with k_e the index at the previous run's
+    end (sample 0 counts as the first end).  :func:`_play_indices` therefore
+    scans only the run ends, and one full clip per sample fills the rest,
+    which keeps the f_d = 0 rounding gap exact.  ``runs`` is :func:`monotone_runs` of
+    ``temps``, built here when not given.  With f_d = f_s the level never
+    moves.
     """
     u = beta * np.asarray(temps, dtype=float)
     x0 = float(x0)
@@ -245,5 +275,9 @@ def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
     dx = 2.0 * (f_s - f_d) / K
     if not dx > 0.0:
         return np.full_like(u, x0)
+    ends, run = monotone_runs(temps) if runs is None else runs
     lo, hi = _lattice_bounds(u, x0, width, dx)
-    return x0 + _play_indices(lo, hi) * dx
+    k = np.concatenate(([0.0], _play_indices(lo[ends], hi[ends])))[run]
+    np.maximum(k, lo, out=k)
+    np.minimum(k, hi, out=k)
+    return x0 + k * dx

@@ -1,4 +1,7 @@
+import hashlib
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,12 @@ from stickslip import (
     simulate_quasistatic,
 )
 from stickslip.calibrate import PARAM_NAMES, _from_unit
+
+# the submodules, not the functions the package re-exports under their names
+calibrate_module = importlib.import_module("stickslip.calibrate")
+quasistatic_module = importlib.import_module("stickslip.quasistatic")
+
+DEMO_RECORD = Path(__file__).resolve().parent.parent / "data" / "demo_record.csv"
 
 
 def _to_unit(params: FitParams, bounds: dict[str, tuple[float, float]]) -> np.ndarray:
@@ -269,3 +278,42 @@ class TestProblemValidation:
         prob = CalibrationProblem(temps=series, displs=np.zeros(4), bounds=BOUNDS)
         assert np.array_equal(prob.dt_weights(), [1.0, 2.0, 3.0, 3.0])
         assert prob.dt_weights() is prob.dt_weights()
+
+    def test_monotone_runs_are_computed_once(self, monkeypatch):
+        built = []
+        original = quasistatic_module.monotone_runs
+
+        def counting(temps):
+            built.append(len(temps))
+            return original(temps)
+
+        monkeypatch.setattr(quasistatic_module, "monotone_runs", counting)
+        monkeypatch.setattr(calibrate_module, "monotone_runs", counting)
+        series, z = make_record(n=300)
+        prob = CalibrationProblem(temps=series, displs=z, bounds=BOUNDS,
+                                  K_BP=K_BP)
+        assert built == [300]
+        for scale in (0.5, 1.0, 2.0):
+            objective(TRUTH._replace(K=scale * TRUTH.K), prob)
+        assert built == [300]
+
+
+class TestDemoRecordFit:
+    """The DE's history and result on the shipped record, at a short budget,
+    as sha256 and float reprs: any change in the floating-point order of the
+    objective, or in the DE's use of its random stream, changes them."""
+
+    def test_history_and_params_are_bit_identical(self):
+        times, temps, z = np.loadtxt(DEMO_RECORD, delimiter=",", comments="#",
+                                     unpack=True)
+        # BOUNDS and K_BP are those of data/demo_bounds.txt and the benchmark
+        prob = CalibrationProblem(temps=TemperatureSeries(times, temps),
+                                  displs=z, bounds=BOUNDS, K_BP=K_BP,
+                                  budget=2000, seed=0)
+        res = calibrate(prob)
+        assert hashlib.sha256(res.history.tobytes()).hexdigest() == \
+            "e5ac5b72deaac4727e266b57d92eb7288a500cafd86d64f291a9c1798f119abd"
+        assert [repr(float(v)) for v in res.params] == [
+            "0.0009861840517112683", "2866164.5354181137", "7.80958306827876e-05",
+            "4789.5374607520935", "5916.727884670475"]
+        assert repr(res.residual) == "0.8467522255898379"

@@ -329,6 +329,17 @@ class TestCalibrateCommand:
                    "--budget", "10", "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_restarts_below_one_is_config_error(self, tmp_path, restarts):
+        data = SRC.parent / "data"
+        proc = run_module("calibrate", "--data", data / "demo_record.csv",
+                          "--bounds", data / "demo_bounds.txt", "--budget", "100",
+                          "--restarts", restarts, "--out", tmp_path / "o")
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == [
+            f"error: --restarts must be at least 1, got {restarts}"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestShippedDataset:
     def test_demo_record_round_trips(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from stickslip import (
     simulate_quasistatic,
     stick_levels_on_grid,
 )
+from stickslip.quasistatic import monotone_runs
 
 
 def _lattice_loop(temps, x0, K, beta, f_d, f_s):
@@ -394,13 +396,16 @@ class TestStickLevelsOnGrid:
                               _lattice_loop(u, x0, 1.0, 1.0, share * f_s, f_s))
 
     @settings(max_examples=200, deadline=None)
-    @given(temps=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=300),
+    @given(temps=st.lists(st.tuples(st.floats(-100.0, 100.0), st.integers(1, 3)),
+                          min_size=1, max_size=150).map(
+               lambda plateaus: [v for v, n in plateaus for _ in range(n)]),
            x0_offset=st.floats(-1.0, 1.0),
            K=st.floats(1e5, 1e7),
+           beta=st.one_of(st.just(1e-4), st.just(-1e-4), st.floats(-2e-4, 2e-4)),
            f_s=st.floats(1e3, 3e4),
            f_d_share=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 0.95)))
-    def test_scan_equals_lattice_loop(self, temps, x0_offset, K, f_s, f_d_share):
-        beta = 1e-4
+    def test_scan_equals_lattice_loop(self, temps, x0_offset, K, beta, f_s,
+                                      f_d_share):
         f_d = f_s * f_d_share
         x0 = beta * temps[0] + x0_offset * f_s / K
         levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s)
@@ -411,3 +416,59 @@ class TestStickLevelsOnGrid:
         if 0.0 < dx <= 2.0 * width:
             u = beta * np.asarray(temps)
             assert np.all(np.abs(u - levels) <= width * (1 + 1e-12))
+
+
+# records whose run structure the turning-point scan must get right
+_EDGE_RECORDS = {
+    "constant": np.full(40, 2.345),
+    "rising": np.linspace(-5.0, 5.0, 301),
+    "falling": np.linspace(5.0, -5.0, 301),
+    "one sample": np.array([4.2]),
+    "two samples": np.array([-3.0, 4.1]),
+    "plateau at extrema": np.concatenate((
+        np.linspace(-4.0, 4.0, 50), np.full(10, 4.0), np.linspace(4.0, -4.0, 50),
+        np.full(5, -4.0), np.linspace(-4.0, 2.0, 20))),
+    "plateau inside runs": np.concatenate((
+        np.linspace(-4.0, 0.0, 30), np.full(10, 0.0), np.linspace(0.0, 4.5, 30),
+        np.linspace(4.5, 1.0, 20), np.full(7, 1.0), np.linspace(1.0, -4.5, 20))),
+    "leading plateau": np.concatenate((np.full(6, 1.5), np.linspace(1.5, -3.0, 20),
+                                       np.linspace(-3.0, 3.0, 20))),
+}
+
+
+class TestTurningPointScan:
+    """The scan over run ends against the one-step-at-a-time lattice walk,
+    bit for bit, on the records whose runs are degenerate."""
+
+    @pytest.mark.parametrize("record", list(_EDGE_RECORDS))
+    @pytest.mark.parametrize("beta", [1.0, -1.5, 0.0])
+    @pytest.mark.parametrize("f_d", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("x0_offset", [0.0, 2.7, -3.1])
+    def test_edge_records(self, record, beta, f_d, x0_offset):
+        temps = _EDGE_RECORDS[record]
+        x0 = beta * temps[0] + x0_offset
+        levels = stick_levels_on_grid(temps, x0, 1.0, beta, f_d, 0.3)
+        assert np.array_equal(levels, _lattice_loop(temps, x0, 1.0, beta, f_d, 0.3))
+
+    def test_negative_beta_on_the_demo_record(self):
+        # a box such as `beta -5e-4 5e-4` sends the DE to beta < 0
+        path = Path(__file__).resolve().parent.parent / "data" / "demo_record.csv"
+        temps = np.loadtxt(path, delimiter=",", comments="#", usecols=1)
+        for beta, f_d in ((-3e-4, 5000.0), (-1e-4, 0.0), (0.0, 5000.0)):
+            x0 = beta * temps[0]
+            levels = stick_levels_on_grid(temps, x0, 2e6, beta, f_d, 8000.0)
+            assert np.array_equal(
+                levels, _lattice_loop(temps, x0, 2e6, beta, f_d, 8000.0))
+
+    def test_runs_end_at_the_turning_points(self):
+        temps = np.array([1.0, 2.0, 3.0, 3.0, 3.0, 2.0, 1.0, 1.0, 4.0])
+        ends, run = monotone_runs(temps)
+        # the last sample of each extremal plateau ends its run
+        assert ends.tolist() == [0, 4, 7, 8]
+        assert run.tolist() == [0, 1, 1, 1, 1, 2, 2, 2, 3]
+
+    @pytest.mark.parametrize("record, ends", [
+        ("constant", [0, 39]), ("rising", [0, 300]), ("one sample", [0]),
+        ("two samples", [0, 1])])
+    def test_records_without_turning_points(self, record, ends):
+        assert monotone_runs(_EDGE_RECORDS[record])[0].tolist() == ends
