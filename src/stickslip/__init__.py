@@ -11,13 +11,11 @@ from .model import (
     Drive,
     Event,
     EventKind,
-    EventLog,
     FrictionParams,
     HarmonicForcing,
     PhaseLabel,
     SolverCapError,
     TemperatureDomainError,
-    TemperatureSeries,
     TemperatureSpringForcing,
     Trajectory,
     eval_forcing,

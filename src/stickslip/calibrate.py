@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import TemperatureSeries
+from .model import Drive
 from .quasistatic import monotone_runs, stick_levels_on_grid
 
 __all__ = [
@@ -56,12 +56,14 @@ class FitParams(NamedTuple):
 class CalibrationProblem:
     """Observed record, parameter box and optimizer budget.
 
+    ``temps`` is the temperature record as the table of a drive with no
+    other part; ``displs`` holds the displacement at each of its knots.
     ``bounds`` maps each of ``PARAM_NAMES`` to (lo, hi).  ``shear_force``
     selects the bearing correction: "friction" uses the transmitted friction
     force (the applied force during sticks), "zero" disables the correction.
     """
 
-    temps: TemperatureSeries
+    temps: Drive
     displs: np.ndarray
     bounds: dict[str, tuple[float, float]]
     K_BP: float = 2.0e6
@@ -72,17 +74,18 @@ class CalibrationProblem:
     _runs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        T = self.temps
+        if T.knots is None or T.offset or T.slope or T.terms or T.scale != 1.0:
+            raise ValueError("the temperature record must be a drive with a "
+                             "table and no other part")
         self.displs = np.asarray(self.displs, dtype=float)
-        if len(self.displs) != len(self.temps.times):
+        if len(self.displs) != len(T.knots):
             raise ValueError(
                 f"displacement series length {len(self.displs)} does not match "
-                f"temperature series length {len(self.temps.times)}"
+                f"temperature series length {len(T.knots)}"
             )
-        if len(self.displs) < 2:
-            raise ValueError("need at least two samples")
-        if not (np.all(np.isfinite(self.temps.temps))
-                and np.all(np.isfinite(self.displs))):
-            raise ValueError("temperatures and displacements must be finite")
+        if not np.all(np.isfinite(self.displs)):
+            raise ValueError("displacements must be finite")
         if self.K_BP <= 0:
             raise ValueError("K_BP must be positive")
         if self.shear_force not in ("friction", "zero"):
@@ -102,9 +105,9 @@ class CalibrationProblem:
         hi_fs = self.bounds["f_s"][1]
         if lo_fd > hi_fs:
             raise ValueError("f_d <= f_s is infeasible for these bounds")
-        dts = np.diff(self.temps.times)
+        dts = np.diff(T.knots)
         self._weights = np.concatenate((dts, dts[-1:]))
-        self._runs = monotone_runs(self.temps.temps)
+        self._runs = monotone_runs(T.values)
 
     def dt_weights(self) -> np.ndarray:
         """Sample weights of the integrated mismatch: dt_i = t_{i+1} - t_i,
@@ -135,7 +138,7 @@ def model_displacement(params: FitParams, prob: CalibrationProblem) -> np.ndarra
     run begins stuck; the z0 offset absorbs the resulting anchor.
     """
     _, K, beta, f_d, f_s = params
-    temps = prob.temps.temps
+    temps = prob.temps.values
     x0 = beta * temps[0]
     levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s, prob._runs)
     if prob.shear_force == "zero":

@@ -34,7 +34,6 @@ from .model import (
     HarmonicForcing,
     PhaseLabel,
     SolverCapError,
-    TemperatureSeries,
     TemperatureSpringForcing,
     Trajectory,
     horizon,
@@ -50,6 +49,9 @@ EXIT_SOLVER = 4
 
 _FMT = "%.9g"
 _BLOCK_ROWS = 4096  # rows formatted per write, to bound the temporaries
+# the most recorded Euler rows or noise samples one command may ask for,
+# checked before anything of that size is allocated
+MAX_SAMPLES = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -179,15 +181,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_numbers(args) -> None:
     """Reject a non-finite number in any float flag, a --t-end, --h or
-    --ou-dt that is not positive, and a --restarts below 1."""
+    --ou-dt that is not positive, and a --restarts or --record-every below 1."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
         if name in ("t_end", "h", "ou_dt") and value is not None and value <= 0:
             raise ConfigError(f"{flag} must be positive, got {value}")
-        if name == "restarts" and value < 1:
+        if name in ("restarts", "record_every") and value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
+def _check_size(flags: str, size: float, what: str) -> None:
+    """Reject a request for more than MAX_SAMPLES rows or samples."""
+    if size > MAX_SAMPLES:
+        raise ConfigError(f"{flags}: {size:.3g} {what} requested, above the "
+                          f"cap of {MAX_SAMPLES}")
 
 
 def _merge_config(argv: list[str]) -> list[str]:
@@ -227,15 +236,15 @@ def _merge_config(argv: list[str]) -> list[str]:
 def _build_thermal_forcing(args) -> TemperatureSpringForcing:
     if args.temps is not None:
         if not args.temps.exists():
-            raise SeriesParseError(0, f"temperature file not found: {args.temps}")
+            raise SeriesParseError(f"temperature file not found: {args.temps}")
         with open(args.temps) as fh:
-            series = load_temperature_series(fh)
-        return TemperatureSpringForcing(
-            K=args.K, beta=args.beta, T=Drive(knots=series.times, values=series.temps))
+            T = load_temperature_series(fh)
+        return TemperatureSpringForcing(K=args.K, beta=args.beta, T=T)
     if args.ou_dt is not None:
         ou_dt = args.ou_dt
     else:
         ou_dt = args.h if args.solver == "euler" and args.h else 0.01
+    _check_size("--t-end and --ou-dt", args.t_end / ou_dt + 2, "noise samples")
     n = int(math.ceil(args.t_end / ou_dt)) + 2
     path = ou_path(n, ou_dt, args.seed)
     return TemperatureSpringForcing(
@@ -258,9 +267,14 @@ def run_simulate(args) -> int:
             raise ConfigError("euler solver requires --h")
         # the most steps that stay within the horizon; the relative slack
         # keeps a whole quotient such as 65/1e-3 whole under rounding
-        n_steps = math.floor(horizon(args.t_end, forcing.T) / args.h * (1 + 1e-9))
+        steps = horizon(args.t_end, forcing.T) / args.h * (1 + 1e-9)
+        _check_size("--t-end, --h and --record-every",
+                    steps / args.record_every + 1, "recorded rows")
+        n_steps = math.floor(steps)
         if n_steps * args.h > forcing.T.t_max:  # keep the last step on the record
             n_steps -= 1
+        if n_steps < 1:
+            raise ConfigError(f"--h {args.h} is longer than the run's horizon")
         cfg = EulerConfig(h=args.h, n_steps=n_steps,
                           record_every=args.record_every)
         traj = simulate_euler(args.x0, forcing, p, cfg)
@@ -278,29 +292,29 @@ def run_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_record(paths: list[Path]) -> tuple[TemperatureSeries, np.ndarray]:
+def _load_record(paths: list[Path]) -> tuple[Drive, np.ndarray]:
+    """The temperature record as a drive's table, and the displacements."""
     for path in paths:
         if not path.exists():
-            raise SeriesParseError(0, f"data file not found: {path}")
+            raise SeriesParseError(f"data file not found: {path}")
     if len(paths) == 1:
         with open(paths[0]) as fh:
             t, temp, z = _parse_columns(fh, 3)
-        return TemperatureSeries(t, temp), z
-    if len(paths) == 2:
+    elif len(paths) == 2:
         with open(paths[0]) as fh:
-            temps = load_temperature_series(fh)
+            t, temp = _parse_columns(fh, 2)
         with open(paths[1]) as fh:
-            displ = load_temperature_series(fh)
-        if len(temps.times) != len(displ.times) or \
-                not np.array_equal(temps.times, displ.times):
-            raise SeriesParseError(0, "temperature and displacement times differ")
-        return temps, displ.temps
-    raise ConfigError("--data takes one 3-column file or two 2-column files")
+            t_z, z = _parse_columns(fh, 2)
+        if not np.array_equal(t, t_z):
+            raise SeriesParseError("temperature and displacement times differ")
+    else:
+        raise ConfigError("--data takes one 3-column file or two 2-column files")
+    return Drive(knots=t, values=temp), z
 
 
 def _load_bounds(path: Path) -> dict[str, tuple[float, float]]:
     if not path.exists():
-        raise SeriesParseError(0, f"bounds file not found: {path}")
+        raise SeriesParseError(f"bounds file not found: {path}")
     bounds: dict[str, tuple[float, float]] = {}
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -308,15 +322,15 @@ def _load_bounds(path: Path) -> dict[str, tuple[float, float]]:
             continue
         parts = line.replace(",", " ").replace("=", " ").split()
         if len(parts) != 3:
-            raise SeriesParseError(line_no, f"expected 'name lo hi': {raw!r}")
+            raise SeriesParseError(f"expected 'name lo hi': {raw!r}", line_no)
         name = parts[0]
         if name not in PARAM_NAMES:
             raise SeriesParseError(
-                line_no, f"unknown parameter {name!r} (expected {PARAM_NAMES})")
+                f"unknown parameter {name!r} (expected {PARAM_NAMES})", line_no)
         try:
             bounds[name] = (float(parts[1]), float(parts[2]))
         except ValueError:
-            raise SeriesParseError(line_no, f"non-numeric bound in {raw!r}")
+            raise SeriesParseError(f"non-numeric bound in {raw!r}", line_no)
     return bounds
 
 
@@ -355,6 +369,7 @@ def run_calibrate(args) -> int:
 
 
 def run_ou_gen(args) -> int:
+    _check_size("--n", args.n, "noise samples")
     path = ou_path(args.n, args.dt, args.seed)
     out: Path = args.out
     with open(out.with_name(out.name + ".txt"), "w") as fh:

@@ -22,7 +22,6 @@ import numpy as np
 from .model import (
     Event,
     EventKind,
-    EventLog,
     FrictionParams,
     PhaseLabel,
     TemperatureSpringForcing,
@@ -77,8 +76,8 @@ def simulate_euler(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
     A recorded sample is labeled STATIC when the stick gate fired for the
     step that produced it *and* the applied force at the sample itself is
     within the static threshold; the instant where v = 0 but |b| > f_s is a
-    (dynamic) departure point.  The event log is rebuilt from label changes,
-    so its times are accurate to within one step h.
+    (dynamic) departure point.  The events are rebuilt from label changes,
+    so their times are accurate to within one step h.
     """
     h, n_steps, every = cfg.h, cfg.n_steps, cfg.record_every
     f_s = p.f_s
@@ -100,7 +99,7 @@ def simulate_euler(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
     t_arr[0], x_arr[0], v_arr[0], b_arr[0] = t, x, v, b
     ph_arr[0] = STATIC if static else DYNAMIC
 
-    events = EventLog()
+    events: list[Event] = []
     j = 0
     if static:
         events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x, j=0))

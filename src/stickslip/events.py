@@ -28,7 +28,6 @@ import numpy as np
 from .model import (
     Event,
     EventKind,
-    EventLog,
     TemperatureSpringForcing,
     FrictionParams,
     PhaseLabel,
@@ -70,6 +69,8 @@ class EngineConfig:
     max_subphases: int = 1000
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if self.root_tol <= 0:
             raise ValueError("root_tol must be positive")
         if self.bracket_dt is not None and self.bracket_dt <= 0:
@@ -419,37 +420,25 @@ dynamic_subphase_generic = dynamic_subphase
 # --------------------------------------------------------------------------
 
 class _Recorder:
-    """Accumulates trajectory columns; friction by :func:`friction_force`."""
+    """Accumulates (t, x, v, phase) chunks; b and the friction force of the
+    whole run are computed once, in :meth:`build`."""
 
     def __init__(self, f: TemperatureSpringForcing, p: FrictionParams):
         self.f = f
         self.p = p
-        self.t: list[np.ndarray] = []
-        self.x: list[np.ndarray] = []
-        self.v: list[np.ndarray] = []
-        self.fr: list[np.ndarray] = []
-        self.b: list[np.ndarray] = []
-        self.ph: list[np.ndarray] = []
+        self.chunks: list[tuple[np.ndarray, ...]] = []
 
     def add(self, ts: np.ndarray, xs: np.ndarray, vs: np.ndarray,
             phase: PhaseLabel):
-        if len(ts) == 0:
-            return
-        bs = np.asarray(eval_forcing(self.f, xs, vs, ts), dtype=float)
-        self.t.append(ts)
-        self.x.append(xs)
-        self.v.append(vs)
-        self.fr.append(friction_force(self.p, vs, bs, phase))
-        self.b.append(bs)
-        self.ph.append(np.full(len(ts), phase.value, dtype=np.int8))
+        if len(ts):
+            self.chunks.append((ts, xs, vs, np.full(len(ts), phase.value,
+                                                    dtype=np.int8)))
 
-    def build(self, events: EventLog) -> Trajectory:
-        cat = lambda chunks: np.concatenate(chunks) if chunks else np.array([])
-        return Trajectory(t=cat(self.t), x=cat(self.x), v=cat(self.v),
-                          friction=cat(self.fr), b=cat(self.b),
-                          phase=np.concatenate(self.ph).astype(np.int8)
-                          if self.ph else np.array([], dtype=np.int8),
-                          events=events)
+    def build(self, events: list[Event]) -> Trajectory:
+        t, x, v, ph = (np.concatenate(column) for column in zip(*self.chunks))
+        b = np.asarray(eval_forcing(self.f, x, v, t), dtype=float)
+        return Trajectory(t=t, x=x, v=v, friction=friction_force(self.p, v, b, ph),
+                          b=b, phase=ph, events=events)
 
 
 def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
@@ -463,7 +452,7 @@ def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
     t_hi = horizon(cfg.t_end, f.T)
     step = _scan_step(f, p, cfg)
     rec = _Recorder(f, p)
-    events = EventLog()
+    events: list[Event] = []
 
     t = 0.0
     x = float(x0)

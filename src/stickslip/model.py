@@ -1,5 +1,6 @@
 """Domain types shared by all solvers: friction parameters, the forcing and
-its temperature drive, phase labels, event logs and trajectories.
+its temperature drive (whose table is also the one sampled-record type),
+phase labels, events and trajectories.
 
 The physical system is a one-dimensional oscillator with bilevel Coulomb
 friction,
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -32,12 +32,10 @@ __all__ = [
     "HarmonicForcing",
     "TemperatureSpringForcing",
     "Drive",
-    "TemperatureSeries",
     "TemperatureDomainError",
     "PhaseLabel",
     "EventKind",
     "Event",
-    "EventLog",
     "Trajectory",
     "eval_forcing",
     "friction_force",
@@ -88,41 +86,16 @@ def _require_finite(what: str, *values: float) -> None:
 
 
 @dataclass(frozen=True)
-class TemperatureSeries:
-    """Sampled temperature record: strictly increasing ``times`` and the
-    ``temps`` at them, all finite."""
-
-    times: np.ndarray
-    temps: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        temps = np.asarray(self.temps, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "temps", temps)
-        if times.ndim != 1 or temps.ndim != 1:
-            raise ValueError("times and temps must be one-dimensional")
-        if len(times) != len(temps):
-            raise ValueError(
-                f"length mismatch: {len(times)} times vs {len(temps)} temps"
-            )
-        if len(times) == 0:
-            raise ValueError("empty series")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(temps))):
-            raise ValueError("times and temps must be finite")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class Drive:
     """Temperature T(t) = offset + slope*t + sum_i a_i cos(Omega_i t + phi_i)
     + scale * L(t).
 
     ``terms`` holds the (a_i, Omega_i, phi_i).  L interpolates the table
     (``knots``, ``values``) linearly -- a sampled record or a noise path -- and
-    is zero without one.  T is defined on [knots[0], knots[-1]], or for all t
-    without a table; elsewhere it raises :class:`TemperatureDomainError`.
+    is zero without one.  The table is the one sampled-record type: equal-length
+    1-D arrays, at least two knots, all finite, knots strictly increasing.  T
+    is defined on [knots[0], knots[-1]], or for all t without a table;
+    elsewhere it raises :class:`TemperatureDomainError`.
     Absent parts add exact zeros, so a drive of one part evaluates to that
     part's bits.
     """
@@ -141,10 +114,21 @@ class Drive:
                         *(v for term in terms for v in term))
         if (self.knots is None) != (self.values is None):
             raise ValueError("a drive table needs both knots and values")
-        if self.knots is not None:
-            table = TemperatureSeries(self.knots, self.values)
-            object.__setattr__(self, "knots", table.times)
-            object.__setattr__(self, "values", table.temps)
+        if self.knots is None:
+            return
+        knots = np.asarray(self.knots, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+        if knots.ndim != 1 or values.shape != knots.shape:
+            raise ValueError("a drive table needs one-dimensional knots and "
+                             "values of equal length")
+        if len(knots) < 2:
+            raise ValueError("a drive table needs at least two knots")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
+            raise ValueError("drive table knots and values must be finite")
+        if not np.all(np.diff(knots) > 0):
+            raise ValueError("drive table knots must be strictly increasing")
 
     @property
     def t_max(self) -> float:
@@ -261,65 +245,13 @@ class Event:
     k: int | None = None
 
 
-class EventLog:
-    """Ordered record of the transition times tau_j, tau_{j+1/2}, tau_j^k."""
-
-    def __init__(self, events: Sequence[Event] = ()):
-        self.events: list[Event] = list(events)
-
-    def append(self, event: Event) -> None:
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __getitem__(self, i):
-        return self.events[i]
-
-    def times(self) -> np.ndarray:
-        return np.array([e.time for e in self.events])
-
-    def of_kind(self, kind: EventKind) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
-
-    def validate(self, f: TemperatureSpringForcing, p: FrictionParams,
-                 tol: float) -> None:
-        """Check ordering, alternation and threshold conditions.
-
-        ``tol`` is the solver's event accuracy: the exact engine passes its
-        root tolerance, the Euler stepper an O(h) bound.
-        """
-        ts = self.times()
-        if np.any(np.diff(ts) <= 0):
-            raise AssertionError("event times not strictly increasing")
-        phase_kinds = [e for e in self.events if e.kind != EventKind.SUBPHASE_BOUNDARY]
-        for a, b_ in zip(phase_kinds, phase_kinds[1:]):
-            if a.kind == b_.kind:
-                raise AssertionError(f"phase events do not alternate at t={b_.time}")
-        for e in self.events:
-            b_val = eval_forcing(f, e.position, 0.0, e.time)
-            if e.kind == EventKind.ENTER_DYNAMIC:
-                if abs(abs(b_val) - p.f_s) > tol:
-                    raise AssertionError(
-                        f"enter-dynamic at t={e.time}: |b|={abs(b_val)} != f_s={p.f_s}"
-                    )
-            elif e.kind == EventKind.ENTER_STATIC:
-                if abs(b_val) > p.f_s + tol:
-                    raise AssertionError(
-                        f"enter-static at t={e.time}: |b|={abs(b_val)} > f_s={p.f_s}"
-                    )
-
-
 # --------------------------------------------------------------------------
 # Trajectories
 # --------------------------------------------------------------------------
 
 @dataclass
 class Trajectory:
-    """Sampled solution record plus its event log.
+    """Sampled solution record plus its events, in time order.
 
     Column layout mirrors the solver output files: per sample we keep time,
     displacement, velocity, the friction force actually transmitted, and the
@@ -332,7 +264,7 @@ class Trajectory:
     friction: np.ndarray
     b: np.ndarray
     phase: np.ndarray
-    events: EventLog = field(default_factory=EventLog)
+    events: list[Event] = field(default_factory=list)
 
     def __post_init__(self):
         n = len(self.t)
@@ -344,24 +276,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def validate(self, p: FrictionParams, b_tol: float = 0.0) -> None:
-        """Assert the stick/slip sample invariants from the stored fields.
-
-        Static samples must have v = 0, friction = b and |b| <= f_s (up to
-        ``b_tol``); dynamic samples with v != 0 carry friction sign(v)*f_d.
-        """
-        static = self.phase == PhaseLabel.STATIC.value
-        if np.any(self.v[static] != 0.0):
-            raise AssertionError("static sample with nonzero velocity")
-        if np.any(np.abs(self.b[static]) > p.f_s + b_tol):
-            raise AssertionError("static sample with |b| > f_s")
-        if not np.allclose(self.friction[static], self.b[static], rtol=0, atol=1e-12):
-            raise AssertionError("static sample with friction != b")
-        moving = (self.phase == PhaseLabel.DYNAMIC.value) & (self.v != 0.0)
-        expect = np.sign(self.v[moving]) * p.f_d
-        if not np.array_equal(self.friction[moving], expect):
-            raise AssertionError("dynamic sample with friction != sign(v)*f_d")
 
 
 class SolverCapError(RuntimeError):

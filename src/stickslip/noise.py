@@ -1,4 +1,4 @@
-"""Ornstein-Uhlenbeck noise paths and temperature-series ingestion.
+"""Ornstein-Uhlenbeck noise paths and sampled-record parsing.
 
 The noise model is dv = -v dt + dw with unit mean reversion and unit
 diffusion, discretized by Euler-Maruyama on a uniform grid:
@@ -6,6 +6,8 @@ diffusion, discretized by Euler-Maruyama on a uniform grid:
     v_0 = 0,   v_{k+1} = v_k - v_k*dt + sqrt(dt)*xi_k,   xi_k ~ N(0,1).
 
 Paths are reproducible: the same (n, dt, seed) always yields the same values.
+A sampled temperature record is read into the table of a :class:`Drive`, the
+one sampled-record type; a noise path becomes a drive's table as well.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .model import Drive, TemperatureSeries
+from .model import Drive
 
 __all__ = [
     "OuPath",
@@ -30,11 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OuPath:
-    """Uniformly sampled noise path v_k at spacing dt, tagged with its seed."""
+    """Uniformly sampled noise path v_k at spacing dt."""
 
     dt: float
     values: np.ndarray
-    seed: int
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -59,7 +60,7 @@ def ou_path(n: int, dt: float, seed: int) -> OuPath:
     for xi_k in xi.tolist():
         v = decay * v + gain * xi_k
         values.append(v)
-    return OuPath(dt=dt, values=np.array(values), seed=seed)
+    return OuPath(dt=dt, values=np.array(values))
 
 
 def perturbed_temperature(Omega: float, rho: float, path: OuPath) -> Drive:
@@ -75,11 +76,12 @@ def perturbed_temperature(Omega: float, rho: float, path: OuPath) -> Drive:
 
 
 class SeriesParseError(ValueError):
-    """Malformed series input; carries the 1-based offending line number."""
+    """Malformed series input; carries the 1-based offending line number, or
+    None for a fault of the whole file."""
 
-    def __init__(self, line_no: int, message: str):
+    def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 def _parse_columns(stream: TextIO, n_cols: int) -> list[np.ndarray]:
@@ -88,8 +90,9 @@ def _parse_columns(stream: TextIO, n_cols: int) -> list[np.ndarray]:
 
     Fields are separated by commas or whitespace, '#' starts a comment, and a
     single non-numeric first row is accepted as a header.  Every field must
-    be a finite number.  Violations raise :class:`SeriesParseError` naming
-    the offending line.
+    be a finite number, and a record needs at least two rows.  Violations
+    raise :class:`SeriesParseError`, naming the offending line where there is
+    one.
     """
     rows: list[list[float]] = []
     header_allowed = True
@@ -105,29 +108,29 @@ def _parse_columns(stream: TextIO, n_cols: int) -> list[np.ndarray]:
             if header_allowed:
                 header_allowed = False
                 continue
-            raise SeriesParseError(line_no, f"non-numeric field in {line!r}")
+            raise SeriesParseError(f"non-numeric field in {line!r}", line_no)
         header_allowed = False
         if len(values) != n_cols:
             raise SeriesParseError(
-                line_no, f"expected {n_cols} columns, got {len(values)}"
-            )
+                f"expected {n_cols} columns, got {len(values)}", line_no)
         if not all(map(math.isfinite, values)):
-            raise SeriesParseError(line_no, f"non-finite field in {line!r}")
+            raise SeriesParseError(f"non-finite field in {line!r}", line_no)
         if rows and values[0] <= rows[-1][0]:
             raise SeriesParseError(
-                line_no,
                 f"time {values[0]} not increasing (previous {rows[-1][0]} "
-                f"on line {prev_line})",
-            )
+                f"on line {prev_line})", line_no)
         rows.append(values)
         prev_line = line_no
     if not rows:
-        raise SeriesParseError(0, "no data rows")
+        raise SeriesParseError("no data rows")
+    if len(rows) < 2:
+        raise SeriesParseError("fewer than two data rows")
     return [np.array(col) for col in zip(*rows)]
 
 
-def load_temperature_series(source: TextIO | str) -> TemperatureSeries:
-    """Read a (time, temperature) series from a character stream or string
-    (see :func:`_parse_columns`)."""
+def load_temperature_series(source: TextIO | str) -> Drive:
+    """Read a (time, temperature) record from a character stream or string
+    (see :func:`_parse_columns`) into the table of a drive."""
     stream = io.StringIO(source) if isinstance(source, str) else source
-    return TemperatureSeries(*_parse_columns(stream, 2))
+    knots, values = _parse_columns(stream, 2)
+    return Drive(knots=knots, values=values)

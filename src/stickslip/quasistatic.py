@@ -24,7 +24,6 @@ from .events import EngineConfig, next_departure
 from .model import (
     Event,
     EventKind,
-    EventLog,
     FrictionParams,
     PhaseLabel,
     SolverCapError,
@@ -62,7 +61,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
     the admissible window (the level never moves).
 
     ``sample_times`` overrides the output grid (values must lie in
-    [0, t_end]); the event log is unaffected by sampling.  More than
+    [0, t_end]); the events are unaffected by sampling.  More than
     ``max_events`` events raise :class:`SolverCapError`, and a damped forcing
     (c != 0) raises ValueError.
     """
@@ -78,7 +77,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
     # cycle i: the stick at levels[i] ends at tau_half[i], and the slip lands
     # at levels[i + 1] at tau_next[i]
     tau_half, tau_next, levels = [], [], [x0]
-    events = EventLog()
+    events: list[Event] = []
     events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x0, j=0))
     t, x = 0.0, x0
     k = 0  # lattice index of the stick level x0 + k*dx

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import vi_residual
+from reference_checks import validate_events, validate_trajectory
 from stickslip import (
     CalibrationProblem,
     Drive,
@@ -26,7 +27,6 @@ from stickslip import (
     FitParams,
     FrictionParams,
     HarmonicForcing,
-    TemperatureSeries,
     TemperatureSpringForcing,
     calibrate,
     corrected_displacement,
@@ -210,7 +210,7 @@ def test_criterion_06_quasistatic_identities():
 
     p_eq = FrictionParams(m=1.0, f_d=1.0, f_s=1.0)
     traj_eq = simulate_quasistatic(0.0, ramp, p_eq, 50.0)
-    levels_eq = {e.position for e in traj_eq.events.of_kind(EventKind.ENTER_STATIC)}
+    levels_eq = {e.position for e in traj_eq.events if e.kind == EventKind.ENTER_STATIC}
     eq_ok = levels_eq == {0.0}
 
     ok = duration_err <= 1e-12 and increment_err == 0.0 and eq_ok
@@ -231,8 +231,8 @@ def test_criterion_07_noisy_run_phase_structure():
         T = perturbed_temperature(0.25, 0.25, path)
         f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
         traj = simulate_events(6.0, f, PARAMS, EngineConfig(t_end=30.0))
-        traj.validate(PARAMS, b_tol=1e-8)
-        traj.events.validate(f, PARAMS, tol=1e-6)
+        validate_trajectory(traj, PARAMS, b_tol=1e-8)
+        validate_events(traj.events, f, PARAMS, tol=1e-6)
 
         events = list(traj.events)
         # every slip entrance strictly precedes its stick successor
@@ -291,9 +291,8 @@ def test_criterion_09_calibration_round_trip():
     days = times / 86400.0
     temps = 60 * np.sin(2 * np.pi * days / 18) + 8 * np.sin(2 * np.pi * days) \
         + 1.5 * np.asarray(ou_path(n, 600 / 86400.0, 20250810).values)
-    series = TemperatureSeries(times, temps)
-    f = TemperatureSpringForcing(K=truth.K, beta=truth.beta,
-                                 T=Drive(knots=series.times, values=series.temps))
+    series = Drive(knots=times, values=temps)
+    f = TemperatureSpringForcing(K=truth.K, beta=truth.beta, T=series)
     p = FrictionParams(m=1.0, f_d=truth.f_d, f_s=truth.f_s)
     traj = simulate_quasistatic(truth.beta * temps[0], f, p, float(times[-1]),
                                 sample_times=times)

@@ -12,7 +12,6 @@ from stickslip import (
     FitParams,
     Drive,
     FrictionParams,
-    TemperatureSeries,
     TemperatureSpringForcing,
     calibrate,
     corrected_displacement,
@@ -62,9 +61,8 @@ def make_record(n=4000, seed=11, noise=0.0, noise_seed=99,
     days = times / 86400.0
     temps = 60 * np.sin(2 * np.pi * days / 18) + 8 * np.sin(2 * np.pi * days) \
         + 1.5 * np.asarray(ou_path(n, 600 / 86400.0, seed).values)
-    series = TemperatureSeries(times, temps)
-    f = TemperatureSpringForcing(K=truth.K, beta=truth.beta,
-                                 T=Drive(knots=series.times, values=series.temps))
+    series = Drive(knots=times, values=temps)
+    f = TemperatureSpringForcing(K=truth.K, beta=truth.beta, T=series)
     p = FrictionParams(m=1.0, f_d=truth.f_d, f_s=truth.f_s)
     x0 = truth.beta * temps[0]
     traj = simulate_quasistatic(x0, f, p, float(times[-1]), sample_times=times)
@@ -118,7 +116,7 @@ class TestObjective:
 
     def test_constant_temperature_fit_by_offset(self):
         times = 600.0 * np.arange(100)
-        series = TemperatureSeries(times, np.full(100, 12.0))
+        series = Drive(knots=times, values=np.full(100, 12.0))
         c = 0.0042
         prob = CalibrationProblem(temps=series, displs=np.full(100, c),
                                   bounds=BOUNDS, K_BP=K_BP, budget=100, seed=0)
@@ -134,7 +132,7 @@ class TestObjective:
         series, z = make_record(n=500)
         prob1 = CalibrationProblem(temps=series, displs=z, bounds=BOUNDS,
                                    K_BP=K_BP, budget=100, seed=0)
-        series2 = TemperatureSeries(series.times.copy(), series.temps.copy())
+        series2 = Drive(knots=series.knots.copy(), values=series.values.copy())
         prob2 = CalibrationProblem(temps=series2, displs=z.copy(), bounds=BOUNDS,
                                    K_BP=K_BP, budget=100, seed=5)
         assert objective(TRUTH, prob1) == objective(TRUTH, prob2)
@@ -238,24 +236,24 @@ class TestCalibrate:
 
 class TestProblemValidation:
     def test_length_mismatch(self):
-        series = TemperatureSeries(np.arange(5.0), np.zeros(5))
+        series = Drive(knots=np.arange(5.0), values=np.zeros(5))
         with pytest.raises(ValueError):
             CalibrationProblem(temps=series, displs=np.zeros(4), bounds=BOUNDS)
 
     def test_missing_bound(self):
-        series = TemperatureSeries(np.arange(5.0), np.zeros(5))
+        series = Drive(knots=np.arange(5.0), values=np.zeros(5))
         bad = {k: v for k, v in BOUNDS.items() if k != "K"}
         with pytest.raises(ValueError):
             CalibrationProblem(temps=series, displs=np.zeros(5), bounds=bad)
 
     def test_infeasible_friction_boxes(self):
-        series = TemperatureSeries(np.arange(5.0), np.zeros(5))
+        series = Drive(knots=np.arange(5.0), values=np.zeros(5))
         bad = dict(BOUNDS, f_d=(5e4, 6e4), f_s=(1e3, 2e3))
         with pytest.raises(ValueError):
             CalibrationProblem(temps=series, displs=np.zeros(5), bounds=bad)
 
     def test_bad_shear_mode(self):
-        series = TemperatureSeries(np.arange(5.0), np.zeros(5))
+        series = Drive(knots=np.arange(5.0), values=np.zeros(5))
         with pytest.raises(ValueError):
             CalibrationProblem(temps=series, displs=np.zeros(5), bounds=BOUNDS,
                                shear_force="both")
@@ -265,16 +263,27 @@ class TestProblemValidation:
         temps = np.zeros(5)
         temps[2] = bad
         with pytest.raises(ValueError, match="finite"):
-            CalibrationProblem(temps=TemperatureSeries(np.arange(5.0), temps),
+            CalibrationProblem(temps=Drive(knots=np.arange(5.0), values=temps),
                                displs=np.zeros(5), bounds=BOUNDS)
-        series = TemperatureSeries(np.arange(5.0), np.zeros(5))
+        series = Drive(knots=np.arange(5.0), values=np.zeros(5))
         displs = np.zeros(5)
         displs[3] = bad
         with pytest.raises(ValueError, match="finite"):
             CalibrationProblem(temps=series, displs=displs, bounds=BOUNDS)
 
+    @pytest.mark.parametrize("extra", [
+        dict(offset=1.0), dict(slope=0.5), dict(terms=((1.0, 0.25, 0.0),)),
+        dict(scale=2.0), None])
+    def test_record_is_a_bare_table(self, extra):
+        # the objective reads only the table's values: any other part of the
+        # drive, or no table at all, would be silently ignored
+        T = Drive(**extra, knots=np.arange(5.0), values=np.zeros(5)) \
+            if extra is not None else Drive(offset=1.0)
+        with pytest.raises(ValueError, match="table"):
+            CalibrationProblem(temps=T, displs=np.zeros(5), bounds=BOUNDS)
+
     def test_weights_are_computed_once(self):
-        series = TemperatureSeries(np.array([0.0, 1.0, 3.0, 6.0]), np.zeros(4))
+        series = Drive(knots=np.array([0.0, 1.0, 3.0, 6.0]), values=np.zeros(4))
         prob = CalibrationProblem(temps=series, displs=np.zeros(4), bounds=BOUNDS)
         assert np.array_equal(prob.dt_weights(), [1.0, 2.0, 3.0, 3.0])
         assert prob.dt_weights() is prob.dt_weights()
@@ -307,7 +316,7 @@ class TestDemoRecordFit:
         times, temps, z = np.loadtxt(DEMO_RECORD, delimiter=",", comments="#",
                                      unpack=True)
         # BOUNDS and K_BP are those of data/demo_bounds.txt and the benchmark
-        prob = CalibrationProblem(temps=TemperatureSeries(times, temps),
+        prob = CalibrationProblem(temps=Drive(knots=times, values=temps),
                                   displs=z, bounds=BOUNDS, K_BP=K_BP,
                                   budget=2000, seed=0)
         res = calibrate(prob)

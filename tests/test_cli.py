@@ -33,7 +33,7 @@ def read_trajectory(path: Path) -> Trajectory:
                 rows.append([float(tok) for tok in line.split()])
     data = np.array(rows)
     if data.ndim != 2 or data.shape[1] != 5:
-        raise SeriesParseError(0, "expected 5 columns (t x v friction b)")
+        raise SeriesParseError("expected 5 columns (t x v friction b)")
     t, x, v, fr, b = data.T
     static = (v == 0.0) & (fr == b)
     phase = np.where(static, PhaseLabel.STATIC.value,
@@ -159,6 +159,18 @@ class TestSimulateCommand:
         t_last = np.loadtxt(tmp_path / "eu.txt")[-1, 0]
         assert 5.0 - float(h) < t_last <= 5.0
 
+    def test_euler_step_longer_than_the_record(self, tmp_path, capsys):
+        # a record shorter than one step leaves no step to take
+        temps = tmp_path / "T.csv"
+        temps.write_text("0,0.0\n0.001,0.5\n")
+        rc = main(["simulate", "--solver", "euler", "--h", "0.01", "--forcing",
+                   "thermal", "--t-end", "20", "--temps", str(temps),
+                   "--out", str(tmp_path / "eu")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: --h 0.01 is longer than the run's horizon\n"
+        assert not (tmp_path / "eu.txt").exists()
+
     def test_quasistatic_event_cap_is_solver_error(self, tmp_path, monkeypatch,
                                                    capsys):
         monkeypatch.setattr(cli, "simulate_quasistatic",
@@ -174,11 +186,14 @@ class TestSimulateCommand:
         assert err.count("\n") == 1
         assert "exceeded 3 events" in err
 
-    def test_missing_temps_file(self, tmp_path):
+    def test_missing_temps_file(self, tmp_path, capsys):
         rc = main(["simulate", "--solver", "quasistatic", "--forcing", "thermal",
                    "--t-end", "40", "--temps", str(tmp_path / "nope.csv"),
                    "--x0", "0", "--out", str(tmp_path / "th")])
         assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: temperature file not found: {tmp_path / 'nope.csv'}\n"
+        assert "line 0" not in err
 
     def test_static_forever_single_segment(self, tmp_path):
         # drive stays inside the stick window: one static segment file only
@@ -232,15 +247,14 @@ class TestOuGenCommand:
 
 
 def _write_record(tmp_path, n=900, noise_seed=5):
-    from stickslip import (Drive, FrictionParams, TemperatureSeries,
+    from stickslip import (Drive, FrictionParams,
                            TemperatureSpringForcing, corrected_displacement,
                            simulate_quasistatic)
     times = 600.0 * np.arange(n)
     days = times / 86400.0
     temps = 60 * np.sin(2 * np.pi * days / 4) + 5 * np.sin(2 * np.pi * days)
-    series = TemperatureSeries(times, temps)
     f = TemperatureSpringForcing(K=2e6, beta=1e-4,
-                                 T=Drive(knots=series.times, values=series.temps))
+                                 T=Drive(knots=times, values=temps))
     p = FrictionParams(m=1.0, f_d=5000.0, f_s=8000.0)
     traj = simulate_quasistatic(1e-4 * temps[0], f, p, float(times[-1]),
                                 sample_times=times)
@@ -314,6 +328,27 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert "line 4" in err
         assert "line 0" not in err
+
+    @pytest.mark.parametrize("case", ["missing data", "missing bounds",
+                                      "no rows", "one row", "times differ"])
+    def test_file_level_faults_name_no_line(self, tmp_path, capsys, case):
+        data, bounds = _write_record(tmp_path, n=300)
+        tfile, zfile = tmp_path / "T.csv", tmp_path / "z.csv"
+        tfile.write_text("0,1\n600,2\n1200,3\n")
+        zfile.write_text("0,1\n600,2\n1800,3\n")
+        files = {"missing data": [tmp_path / "nope.csv"], "times differ":
+                 [tfile, zfile]}.get(case, [data])
+        if case == "missing bounds":
+            bounds = tmp_path / "nope.txt"
+        elif case in ("no rows", "one row"):
+            data.write_text("# t T z\n" + ("0,1,2\n" if case == "one row" else ""))
+        rc = main(["calibrate", "--data", *map(str, files), "--bounds",
+                   str(bounds), "--budget", "150", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "line 0" not in err
+        assert not err.startswith("data error: line")
 
     def test_bad_bounds_file(self, tmp_path):
         data, _ = _write_record(tmp_path)
@@ -450,6 +485,79 @@ class TestBadNumbers:
         assert not (tmp_path / "r.txt").exists()
 
 
+class TestOneRowRecord:
+    """A record of one row has no horizon: a data error, never a run."""
+
+    @pytest.mark.parametrize("solver", ["events", "quasistatic", "euler",
+                                        "calibrate"])
+    def test_one_row_is_a_data_error(self, tmp_path, capsys, solver):
+        record = tmp_path / "one.csv"
+        if solver == "calibrate":
+            _, bounds = _write_record(tmp_path, n=10)
+            record.write_text("# t T z\n0,20,0.001\n")
+            argv = ["calibrate", "--data", record, "--bounds", bounds,
+                    "--budget", "150"]
+        else:
+            record.write_text("0,20\n")
+            argv = ["simulate", "--solver", solver, "--forcing", "thermal",
+                    "--temps", record, "--t-end", "10", "--h", "0.01"]
+        rc = run(tmp_path, *argv, "--out", tmp_path / "out")
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "data error: fewer than two data rows\n"
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestSizeCap:
+    """Requests for more rows or noise samples than cli.MAX_SAMPLES are config
+    errors naming the flags, raised before anything of that size exists."""
+
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the request reached the allocating call")
+        monkeypatch.setattr(cli, "ou_path", refuse)
+        monkeypatch.setattr(cli, "simulate_euler", refuse)
+
+    @pytest.mark.parametrize("args,flags", [
+        (["simulate", "--solver", "euler", "--h", "1e-15", "--forcing", "shaw",
+          "--t-end", "1000"], "--t-end, --h and --record-every"),
+        (["simulate", "--solver", "euler", "--h", "1e-300", "--forcing", "shaw",
+          "--t-end", "1e300"], "--t-end, --h and --record-every"),
+        (["simulate", "--forcing", "thermal", "--rho", "1", "--ou-dt", "1e-9",
+          "--t-end", "100"], "--t-end and --ou-dt"),
+        (["simulate", "--forcing", "thermal", "--ou-dt", "1e-300",
+          "--t-end", "1e300"], "--t-end and --ou-dt"),
+        (["ou-gen", "--n", "1000000000000", "--dt", "0.01"], "--n"),
+    ], ids=["euler-rows", "euler-overflow", "noise", "noise-overflow", "ou-gen"])
+    def test_over_the_cap_is_config_error(self, tmp_path, capsys, args, flags):
+        rc = run(tmp_path, *args, "--out", tmp_path / "r")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {flags}: ")
+        assert f"above the cap of {cli.MAX_SAMPLES}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cap_is_above_every_use(self, tmp_path, monkeypatch):
+        # euler-fine writes 65 001 rows, a t = 3000 noise path has 300 002
+        # samples, and ou-gen is benchmarked at 10^6; a request at the cap runs
+        assert cli.MAX_SAMPLES >= 10**6
+        assert run(tmp_path, "ou-gen", "--n", cli.MAX_SAMPLES + 1, "--dt", 0.01,
+                   "--out", tmp_path / "p") == EXIT_CONFIG
+        monkeypatch.setattr(cli, "ou_path", lambda n, dt, seed: ou_path(2, dt, seed))
+        assert run(tmp_path, "ou-gen", "--n", cli.MAX_SAMPLES, "--dt", 0.01,
+                   "--out", tmp_path / "p") == EXIT_OK
+
+    def test_record_every_below_one_names_the_flag(self, tmp_path, capsys):
+        rc = run(tmp_path, "simulate", "--solver", "euler", "--h", "0.01",
+                 "--forcing", "shaw", "--t-end", "1", "--record-every", "0",
+                 "--out", tmp_path / "r")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: --record-every must be at least 1, got 0\n"
+
+
 class TestBenchmarkTracerHooks:
     """The benchmark's traced runs wrap module-level names of the package;
     a renamed or inlined one would make ``--trace 1`` fail or read zero."""
@@ -485,3 +593,36 @@ class TestBenchmarkTracerHooks:
         assert layers["events.subphase_calls"] >= 2
         assert layers["events.event_count"] >= 4
         assert layers["model.eval_forcing_calls"] > 0
+
+    def _install(self, monkeypatch):
+        tracer = self._tracer()
+        for module, name, _ in tracer.SPANS:  # restored after the test
+            monkeypatch.setattr(module, name, getattr(module, name))
+        for module, name in tracer.COUNTED:
+            monkeypatch.setattr(module, name, getattr(module, name))
+        spans = tracer.Tracer()
+        spans.install()
+        return spans
+
+    def test_sampled_record_run_records_parse_spans(self, tmp_path, monkeypatch):
+        spans = self._install(monkeypatch)
+        temps = tmp_path / "T.csv"
+        temps.write_text("0,0.0\n10,0.5\n20,1.5\n30,2.5\n40,2.0\n")
+        assert run(tmp_path, "simulate", "--solver", "events", "--forcing",
+                   "thermal", "--K", "1", "--beta", "1", "--fd", "0.5", "--fs", "1",
+                   "--x0", "0", "--t-end", "40", "--temps", temps,
+                   "--out", tmp_path / "th") == EXIT_OK
+        assert spans.calls["cli.parse"] == 1
+        assert spans.layers()["cli.parse_s"] > 0
+
+    def test_calibrate_run_records_its_layers(self, tmp_path, monkeypatch):
+        data, bounds = _write_record(tmp_path, n=200)
+        spans = self._install(monkeypatch)
+        assert run(tmp_path, "calibrate", "--data", data, "--bounds", bounds,
+                   "--budget", "150", "--kbp", "5e6",
+                   "--out", tmp_path / "fit") == EXIT_OK
+        layers = spans.layers()
+        assert spans.calls["cli.parse"] == 2  # the record and the bounds
+        assert layers["cli.parse_s"] > 0
+        assert layers["calibrate.objective_calls"] == 150
+        assert layers["quasistatic.stick_levels_calls"] == 150

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import vi_residual
+from reference_checks import validate_events, validate_trajectory
 from stickslip import (
     Drive,
     EulerConfig,
@@ -158,14 +159,14 @@ class TestSimulateEuler:
     def test_first_departure_time(self, harmonic_forcing, harmonic_params):
         traj = simulate_euler(6.0, harmonic_forcing, harmonic_params,
                               EulerConfig(h=1e-4, n_steps=30000, record_every=10))
-        dyn = traj.events.of_kind(EventKind.ENTER_DYNAMIC)
+        dyn = [e for e in traj.events if e.kind == EventKind.ENTER_DYNAMIC]
         assert dyn[0].time == pytest.approx(2.574, abs=0.01)
 
     def test_first_return_time(self, harmonic_forcing, harmonic_params):
         traj = simulate_euler(6.0, harmonic_forcing, harmonic_params,
                               EulerConfig(h=1e-4, n_steps=140000, record_every=10))
-        stat = [e for e in traj.events.of_kind(EventKind.ENTER_STATIC)
-                if e.time > 0]
+        stat = [e for e in traj.events
+                if e.kind == EventKind.ENTER_STATIC and e.time > 0]
         assert stat[0].time == pytest.approx(13.38, abs=0.05)
         # the h -> 0 stick level (independent fine-step oracle: -6.18847)
         assert stat[0].position == pytest.approx(-6.18847, abs=2e-3)
@@ -200,8 +201,9 @@ class TestSimulateEuler:
     def test_trajectory_invariants(self, harmonic_forcing, harmonic_params):
         traj = simulate_euler(6.0, harmonic_forcing, harmonic_params,
                               EulerConfig(h=0.005, n_steps=6000))
-        traj.validate(harmonic_params)
-        traj.events.validate(harmonic_forcing, harmonic_params, tol=0.005 * 10)
+        validate_trajectory(traj, harmonic_params)
+        validate_events(traj.events, harmonic_forcing, harmonic_params,
+                        tol=0.005 * 10)
 
     def test_convergence_on_constant_forcing_slip(self):
         # slip phase with closed form x(t) = x* + (x0 - x*) cos t,

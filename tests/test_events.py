@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from reference_checks import validate_events, validate_trajectory
 from stickslip import events
 from stickslip import (
     Drive,
@@ -308,8 +309,8 @@ class TestDynamicSubphase:
                             lambda *args: points.append(1) or point(*args))
         traj = simulate_events(6.0, harmonic_forcing, harmonic_params,
                                EngineConfig(t_end=650.0))
-        roots = len(traj.events.of_kind(EventKind.ENTER_STATIC)) - 1 \
-            + len(traj.events.of_kind(EventKind.SUBPHASE_BOUNDARY))
+        roots = sum(e.kind in (EventKind.ENTER_STATIC, EventKind.SUBPHASE_BOUNDARY)
+                    for e in traj.events) - 1
         assert roots > 40
         assert len(points) <= 5 * roots
 
@@ -338,11 +339,9 @@ class TestDynamicSubphase:
         # T(t) = 0.1 t sampled at 0.25 spacing: the propagator's panels split at
         # every sample breakpoint, and the slip from x = 0 at t = 10 solves
         # x'' + x = 0.1 t - 0.5 with x(t) = 0.1t - 0.5 - 0.5 cos(t-10) - 0.1 sin(t-10)
-        from stickslip import TemperatureSeries
         times = 0.25 * np.arange(81)
-        series = TemperatureSeries(times, 0.1 * times)
         f = TemperatureSpringForcing(
-            K=1.0, beta=1.0, T=Drive(knots=series.times, values=series.temps))
+            K=1.0, beta=1.0, T=Drive(knots=times, values=0.1 * times))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         sub = dynamic_subphase(0.0, 10.0, 1, f, p, EngineConfig(t_end=20.0))
 
@@ -385,8 +384,8 @@ class TestSimulateEvents:
         assert traj.events[4].position == pytest.approx(x2, abs=1e-4)
         assert traj.events[1].epsilon == -1
         assert traj.events[3].epsilon == 1
-        traj.validate(harmonic_params, b_tol=1e-6)
-        traj.events.validate(harmonic_forcing, harmonic_params, tol=1e-5)
+        validate_trajectory(traj, harmonic_params, b_tol=1e-6)
+        validate_events(traj.events, harmonic_forcing, harmonic_params, tol=1e-5)
 
     def test_starts_dynamic_when_threshold_exceeded(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=2.0))
@@ -418,7 +417,7 @@ class TestSimulateEvents:
         f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         traj = simulate_events(6.0, f, p, EngineConfig(t_end=30.0))
-        assert len(traj.events.of_kind(EventKind.SUBPHASE_BOUNDARY)) >= 2
+        assert sum(e.kind == EventKind.SUBPHASE_BOUNDARY for e in traj.events) >= 2
         self._check_subphase_samples(traj, f, p)
 
     @staticmethod
@@ -542,7 +541,7 @@ class TestSimulateEvents:
     def test_trajectory_validates(self, harmonic_forcing, harmonic_params):
         traj = simulate_events(6.0, harmonic_forcing, harmonic_params,
                                EngineConfig(t_end=26.0))
-        traj.validate(harmonic_params, b_tol=1e-6)
+        validate_trajectory(traj, harmonic_params, b_tol=1e-6)
 
     def test_horizon_capped_by_forcing_domain(self):
         # a noise path shorter than t_end caps the run cleanly
@@ -557,3 +556,10 @@ class TestSimulateEvents:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(t_end=1.0, root_tol=0.0)
+
+    @pytest.mark.parametrize("t_end", [-1.0, 0.0, math.inf, math.nan])
+    def test_t_end_must_be_finite_and_positive(self, t_end):
+        # simulate_events with t_end = -1 used to return one static row at
+        # t = -1 with |b| > f_s and no events
+        with pytest.raises(ValueError, match="t_end"):
+            EngineConfig(t_end=t_end)

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_checks import validate_events, validate_trajectory
 from stickslip import (
     Drive,
     Event,
     EventKind,
-    EventLog,
     FrictionParams,
     HarmonicForcing,
     PhaseLabel,
-    TemperatureSeries,
     TemperatureSpringForcing,
     Trajectory,
     eval_forcing,
@@ -151,8 +150,7 @@ class TestFrictionForce:
 
 def _series_drive(times, temps):
     """The drive built from a sampled series, as the CLI builds it."""
-    s = TemperatureSeries(np.array(times), np.array(temps))
-    return Drive(knots=s.times, values=s.temps)
+    return Drive(knots=np.array(times), values=np.array(temps))
 
 
 class TestTemperatureSources:
@@ -172,10 +170,17 @@ class TestTemperatureSources:
             T.at(np.array([0.0, 601.0]))
 
     def test_series_validation(self):
-        with pytest.raises(ValueError):
-            TemperatureSeries(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            TemperatureSeries(np.array([0.0, 1.0]), np.array([1.0]))
+        # the drive's table checks itself: it is the one sampled-record type
+        for knots, values in [
+            ([0.0, 0.0], [1.0, 2.0]),  # knots not strictly increasing
+            ([1.0, 0.0], [1.0, 2.0]),
+            ([0.0, 1.0], [1.0]),  # lengths differ
+            ([0.0], [1.0]),  # one knot
+            ([], []),
+            ([[0.0, 1.0]], [[1.0, 2.0]]),  # not one-dimensional
+        ]:
+            with pytest.raises(ValueError):
+                Drive(knots=np.array(knots), values=np.array(values))
 
     def test_sampled_source_vectorized(self):
         T = _series_drive([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
@@ -242,31 +247,31 @@ class TestStateAndEvents:
     def test_event_log_validate(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.3))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.3)
-        log = EventLog([
+        log = [
             Event(0.0, EventKind.ENTER_STATIC, 0.0, j=0),
             Event(1.0, EventKind.ENTER_DYNAMIC, 0.0, epsilon=1, j=0),
-        ])
-        log.validate(f, p, tol=1e-9)
+        ]
+        validate_events(log, f, p, tol=1e-9)
 
     def test_event_log_rejects_unsorted(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.0))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        log = EventLog([
+        log = [
             Event(1.0, EventKind.ENTER_STATIC, 0.0, j=0),
             Event(0.5, EventKind.ENTER_DYNAMIC, 0.0, epsilon=1, j=0),
-        ])
+        ]
         with pytest.raises(AssertionError):
-            log.validate(f, p, tol=1e-9)
+            validate_events(log, f, p, tol=1e-9)
 
     def test_event_log_rejects_nonalternating(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.0))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        log = EventLog([
+        log = [
             Event(0.0, EventKind.ENTER_STATIC, 0.0, j=0),
             Event(1.0, EventKind.ENTER_STATIC, 0.0, j=1),
-        ])
+        ]
         with pytest.raises(AssertionError):
-            log.validate(f, p, tol=1e-9)
+            validate_events(log, f, p, tol=1e-9)
 
 
 class TestTrajectory:
@@ -282,19 +287,19 @@ class TestTrajectory:
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         traj = self._make(phase=[0, 1, 1], v=[0.0, 2.0, -1.0],
                           friction=[0.5, 1.0, -1.0], b=[0.5, 3.0, 0.2])
-        traj.validate(p)
+        validate_trajectory(traj, p)
 
     def test_validate_rejects_static_motion(self):
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         traj = self._make(phase=[0], v=[0.5], friction=[0.1], b=[0.1])
         with pytest.raises(AssertionError):
-            traj.validate(p)
+            validate_trajectory(traj, p)
 
     def test_validate_rejects_overthreshold_static(self):
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         traj = self._make(phase=[0], v=[0.0], friction=[1.5], b=[1.5])
         with pytest.raises(AssertionError):
-            traj.validate(p)
+            validate_trajectory(traj, p)
 
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):

@@ -115,16 +115,16 @@ class TestPerturbedTemperature:
 class TestLoadTemperatureSeries:
     def test_basic_csv(self):
         s = load_temperature_series("0,10.0\n600,10.5\n")
-        assert len(s.times) == 2
-        assert Drive(knots=s.times, values=s.temps).at(300.0) == 10.25
+        assert len(s.knots) == 2
+        assert s.at(300.0) == 10.25
 
     def test_whitespace_and_comments(self):
         s = load_temperature_series("# header comment\n0 10.0\n600 10.5  # eol\n")
-        assert len(s.times) == 2
+        assert len(s.knots) == 2
 
     def test_header_row_skipped(self):
         s = load_temperature_series("time,temp\n0,10.0\n600,10.5\n")
-        assert len(s.times) == 2
+        assert len(s.knots) == 2
 
     def test_unsorted_times_name_line(self):
         with pytest.raises(SeriesParseError) as err:
@@ -142,8 +142,17 @@ class TestLoadTemperatureSeries:
         assert err.value.line_no == 2
 
     def test_empty_input(self):
-        with pytest.raises(SeriesParseError):
+        with pytest.raises(SeriesParseError) as err:
             load_temperature_series("# nothing\n")
+        assert err.value.line_no is None  # a fault of the whole file
+        assert str(err.value) == "no data rows"
+
+    @pytest.mark.parametrize("text", ["0,10.0\n", "t,T\n0,10.0\n"])
+    def test_one_row_is_too_few(self, text):
+        with pytest.raises(SeriesParseError) as err:
+            load_temperature_series(text)
+        assert err.value.line_no is None
+        assert str(err.value) == "fewer than two data rows"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_field_names_line(self, bad):
@@ -161,4 +170,4 @@ class TestLoadTemperatureSeries:
 
     def test_stream_input(self):
         s = load_temperature_series(io.StringIO("0 1.0\n1 2.0\n"))
-        assert Drive(knots=s.times, values=s.temps).at(0.5) == 1.5
+        assert s.at(0.5) == 1.5

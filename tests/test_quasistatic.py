@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_checks import validate_trajectory
 from stickslip import (
     Drive,
     EngineConfig,
@@ -13,7 +14,6 @@ from stickslip import (
     HarmonicForcing,
     PhaseLabel,
     SolverCapError,
-    TemperatureSeries,
     TemperatureSpringForcing,
     next_departure,
     ou_path,
@@ -48,8 +48,8 @@ def _ramp_forcing(rate=0.1, K=1.0, beta=1.0):
 
 def _first_cycle(traj):
     """The first stick-plus-slip cycle: (departure event, landing event)."""
-    dyn = traj.events.of_kind(EventKind.ENTER_DYNAMIC)[0]
-    stats = [e for e in traj.events.of_kind(EventKind.ENTER_STATIC) if e.j == 1]
+    dyn = [e for e in traj.events if e.kind == EventKind.ENTER_DYNAMIC][0]
+    stats = [e for e in traj.events if e.kind == EventKind.ENTER_STATIC and e.j == 1]
     return dyn, (stats[0] if stats else None)
 
 
@@ -79,10 +79,9 @@ class TestQuasistaticStep:
         assert np.all(traj.phase == PhaseLabel.STATIC.value)
 
     def test_sampled_inversion_is_exact(self):
-        series = TemperatureSeries(np.array([0.0, 10.0, 20.0]),
-                                   np.array([0.0, 2.0, 0.0]))
         f = TemperatureSpringForcing(
-            K=1.0, beta=1.0, T=Drive(knots=series.times, values=series.temps))
+            K=1.0, beta=1.0, T=Drive(knots=np.array([0.0, 10.0, 20.0]),
+                                     values=np.array([0.0, 2.0, 0.0])))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         dyn, _ = _first_cycle(simulate_quasistatic(0.0, f, p, 20.0))
         # crossing of 0.2*t = 1.0 on the interpolant
@@ -173,11 +172,11 @@ class TestWindowSearch:
         else:
             rng = np.random.default_rng(4)
             times = np.arange(61.0)
-            series = TemperatureSeries(times, 1.0 + np.cumsum(rng.normal(0, 0.2, 61)))
-            f = TemperatureSpringForcing(
-                K=1.0, beta=6.0, T=Drive(knots=series.times, values=series.temps))
-            x0 = 6.0 * series.temps[0]
-        first = [traj.events.of_kind(EventKind.ENTER_DYNAMIC)[0].time for traj in
+            T = Drive(knots=times, values=1.0 + np.cumsum(rng.normal(0, 0.2, 61)))
+            f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
+            x0 = 6.0 * T.values[0]
+        first = [next(e.time for e in traj.events
+                      if e.kind == EventKind.ENTER_DYNAMIC) for traj in
                  (simulate_quasistatic(x0, f, p, t_end),
                   simulate_events(x0, f, p, EngineConfig(t_end=t_end)))]
         assert first[0] > 0.0
@@ -209,16 +208,15 @@ class TestWindowSearch:
         # with f_d = f_s the slip at t = 5 lasts until the drive re-enters
         # [-1, 1]; the segment (20, 2) -> (30, -2) jumps from above the window
         # to below it between samples and crosses the upper edge at 22.5
-        series = TemperatureSeries(np.array([0.0, 10.0, 20.0, 30.0]),
-                                   np.array([0.0, 2.0, 2.0, -2.0]))
         f = TemperatureSpringForcing(
-            K=1.0, beta=1.0, T=Drive(knots=series.times, values=series.temps))
+            K=1.0, beta=1.0, T=Drive(knots=np.array([0.0, 10.0, 20.0, 30.0]),
+                                     values=np.array([0.0, 2.0, 2.0, -2.0])))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.0)
         traj = simulate_quasistatic(0.0, f, p, 30.0)
         assert [e.kind for e in traj.events] == [
             EventKind.ENTER_STATIC, EventKind.ENTER_DYNAMIC,
             EventKind.ENTER_STATIC, EventKind.ENTER_DYNAMIC]
-        assert traj.events.times() == pytest.approx([0.0, 5.0, 22.5, 27.5],
+        assert [e.time for e in traj.events] == pytest.approx([0.0, 5.0, 22.5, 27.5],
                                                     abs=1e-12)
         cfg = EngineConfig(t_end=30.0)
         assert next_departure(0.0, 12.0, f, 1.0, cfg, reenter=True) == 22.5
@@ -228,9 +226,9 @@ class TestSimulateQuasistatic:
     def test_ramp_staircase(self):
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         traj = simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0)
-        levels = [e.position for e in traj.events.of_kind(EventKind.ENTER_STATIC)]
+        levels = [e.position for e in traj.events if e.kind == EventKind.ENTER_STATIC]
         assert levels == [0.0, 1.0, 2.0, 3.0, 4.0]
-        departures = [e.time for e in traj.events.of_kind(EventKind.ENTER_DYNAMIC)]
+        departures = [e.time for e in traj.events if e.kind == EventKind.ENTER_DYNAMIC]
         assert departures == pytest.approx([10.0, 20.0, 30.0, 40.0], abs=1e-6)
 
     def test_slip_identities_machine_precision(self):
@@ -248,7 +246,9 @@ class TestSimulateQuasistatic:
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         f = _ramp_forcing()
         traj = simulate_quasistatic(0.0, f, p, 50.0)
-        for e in traj.events.of_kind(EventKind.ENTER_DYNAMIC):
+        for e in traj.events:
+            if e.kind != EventKind.ENTER_DYNAMIC:
+                continue
             b = f.K * (f.beta * f.T.at(e.time) - e.position)
             assert abs(abs(b) - p.f_s) < 1e-6
 
@@ -257,11 +257,12 @@ class TestSimulateQuasistatic:
         f = TemperatureSpringForcing(K=1.0, beta=1.0,
                                      T=Drive(terms=((1.0, 0.05, 0.0),)))
         traj = simulate_quasistatic(1.0, f, p, 200.0)
-        stats = traj.events.of_kind(EventKind.ENTER_STATIC)
+        stats = [e for e in traj.events if e.kind == EventKind.ENTER_STATIC]
         assert all(e.position == 1.0 for e in stats)
         # departures happen exactly when T leaves [x0 - f/K, x0 + f/K] = [0, 2]
-        for e in traj.events.of_kind(EventKind.ENTER_DYNAMIC):
-            assert math.cos(0.05 * e.time) == pytest.approx(0.0, abs=1e-6)
+        for e in traj.events:
+            if e.kind == EventKind.ENTER_DYNAMIC:
+                assert math.cos(0.05 * e.time) == pytest.approx(0.0, abs=1e-6)
         assert np.all(traj.x == 1.0)
 
     def test_slow_cosine_alternates_signs(self):
@@ -271,17 +272,17 @@ class TestSimulateQuasistatic:
         f = TemperatureSpringForcing(K=1.0, beta=1.1,
                                      T=Drive(terms=((1.0, 0.01, 0.0),)))
         traj = simulate_quasistatic(1.1, f, p, 2000.0)
-        eps = [e.epsilon for e in traj.events.of_kind(EventKind.ENTER_DYNAMIC)]
+        eps = [e.epsilon for e in traj.events if e.kind == EventKind.ENTER_DYNAMIC]
         assert len(eps) >= 3
         assert all(a != b for a, b in zip(eps, eps[1:]))
         # period-2 stick levels under the symmetric window
-        levels = [e.position for e in traj.events.of_kind(EventKind.ENTER_STATIC)]
+        levels = [e.position for e in traj.events if e.kind == EventKind.ENTER_STATIC]
         assert levels[1:3] == levels[3:5]
 
     def test_trajectory_invariants(self):
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         traj = simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0)
-        traj.validate(p, b_tol=1e-9)
+        validate_trajectory(traj, p, b_tol=1e-9)
 
     def test_arc_is_continuous(self):
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
@@ -310,8 +311,8 @@ class TestAgainstEventEngine:
             f = TemperatureSpringForcing(K=1.0, beta=2.0, T=T)
             t_end = math.acos(0.4) / eps_rate + 10.0
             traj = simulate_events(2.0, f, p, EngineConfig(t_end=t_end))
-            stats = [e for e in traj.events.of_kind(EventKind.ENTER_STATIC)
-                     if e.time > 0]
+            stats = [e for e in traj.events
+                     if e.kind == EventKind.ENTER_STATIC and e.time > 0]
             errs[eps_rate] = abs(stats[0].position - 1.6)
         ratio = errs[1e-2] / errs[1e-3]
         assert 8.0 < ratio < 13.0
@@ -331,13 +332,12 @@ class TestStickLevelsOnGrid:
     def test_matches_event_by_event_simulation(self, seed):
         times, temps = self._random_instance(seed)
         K, beta, f_d, f_s = 2e6, 1e-4, 5000.0, 8000.0
-        series = TemperatureSeries(times, temps)
         f = TemperatureSpringForcing(
-            K=K, beta=beta, T=Drive(knots=series.times, values=series.temps))
+            K=K, beta=beta, T=Drive(knots=times, values=temps))
         p = FrictionParams(m=1.0, f_d=f_d, f_s=f_s)
         x0 = beta * temps[0]
         traj = simulate_quasistatic(x0, f, p, float(times[-1]), sample_times=times)
-        assert len(traj.events.of_kind(EventKind.ENTER_DYNAMIC)) >= 3
+        assert len([e for e in traj.events if e.kind == EventKind.ENTER_DYNAMIC]) >= 3
         levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s)
         assert np.array_equal(traj.x, levels)
 
