@@ -29,7 +29,6 @@ from .euler import (
     simulate_euler,
 )
 from .events import (
-    EngineConfig,
     MaxSubphasesError,
     SubphaseResult,
     dynamic_subphase,

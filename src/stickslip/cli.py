@@ -27,7 +27,7 @@ from .calibrate import (
     calibrate,
 )
 from .euler import EulerConfig, simulate_euler
-from .events import EngineConfig, simulate_events
+from .events import _scan_step, simulate_events
 from .model import (
     Drive,
     FrictionParams,
@@ -49,8 +49,8 @@ EXIT_SOLVER = 4
 
 _FMT = "%.9g"
 _BLOCK_ROWS = 4096  # rows formatted per write, to bound the temporaries
-# the most recorded Euler rows or noise samples one command may ask for,
-# checked before anything of that size is allocated
+# the most Euler steps, scan steps or noise samples one command may ask for,
+# checked before anything of that size is allocated or stepped
 MAX_SAMPLES = 10_000_000
 
 
@@ -193,7 +193,7 @@ def _check_numbers(args) -> None:
 
 
 def _check_size(flags: str, size: float, what: str) -> None:
-    """Reject a request for more than MAX_SAMPLES rows or samples."""
+    """Reject a request for more than MAX_SAMPLES steps or samples."""
     if size > MAX_SAMPLES:
         raise ConfigError(f"{flags}: {size:.3g} {what} requested, above the "
                           f"cap of {MAX_SAMPLES}")
@@ -239,17 +239,36 @@ def _build_thermal_forcing(args) -> TemperatureSpringForcing:
             raise SeriesParseError(f"temperature file not found: {args.temps}")
         with open(args.temps) as fh:
             T = load_temperature_series(fh)
+        if T.knots[0] > 0:
+            raise SeriesParseError(f"{args.temps}: the record starts at "
+                                   f"t = {T.knots[0]:g}, after t = 0")
         return TemperatureSpringForcing(K=args.K, beta=args.beta, T=T)
-    if args.ou_dt is not None:
-        ou_dt = args.ou_dt
-    else:
-        ou_dt = args.h if args.solver == "euler" and args.h else 0.01
-    _check_size("--t-end and --ou-dt", args.t_end / ou_dt + 2, "noise samples")
-    n = int(math.ceil(args.t_end / ou_dt)) + 2
-    path = ou_path(n, ou_dt, args.seed)
+    path = None  # at rho = 0 the drive reads no noise
+    if args.rho != 0.0:
+        if args.ou_dt is not None:
+            ou_dt = args.ou_dt
+        else:
+            ou_dt = args.h if args.solver == "euler" and args.h else 0.01
+        _check_size("--t-end and --ou-dt", args.t_end / ou_dt + 2, "noise samples")
+        n = int(math.ceil(args.t_end / ou_dt)) + 2
+        path = ou_path(n, ou_dt, args.seed)
     return TemperatureSpringForcing(
         K=args.K, beta=args.beta,
         T=perturbed_temperature(args.omega, args.rho, path))
+
+
+def _check_scan(forcing: TemperatureSpringForcing, p: FrictionParams | None,
+                t_end: float) -> None:
+    """Reject a run whose scan grid has more than MAX_SAMPLES points: the
+    stick rows of the event engine when ``p`` is given, and the departure grid
+    of a drive that is not a bare table (a table alone is scanned at its
+    knots)."""
+    steps = [_scan_step(forcing, p)] if p is not None else []
+    if forcing.T.terms or forcing.T.knots is None:
+        steps.append(_scan_step(forcing, None))
+    if steps:
+        _check_size("--t-end, --m, --K and --omega",
+                    horizon(t_end, forcing.T) / min(steps), "scan steps")
 
 
 def run_simulate(args) -> int:
@@ -268,8 +287,7 @@ def run_simulate(args) -> int:
         # the most steps that stay within the horizon; the relative slack
         # keeps a whole quotient such as 65/1e-3 whole under rounding
         steps = horizon(args.t_end, forcing.T) / args.h * (1 + 1e-9)
-        _check_size("--t-end, --h and --record-every",
-                    steps / args.record_every + 1, "recorded rows")
+        _check_size("--t-end and --h", steps + 1, "Euler steps")
         n_steps = math.floor(steps)
         if n_steps * args.h > forcing.T.t_max:  # keep the last step on the record
             n_steps -= 1
@@ -279,8 +297,10 @@ def run_simulate(args) -> int:
                           record_every=args.record_every)
         traj = simulate_euler(args.x0, forcing, p, cfg)
     elif args.solver == "events":
-        traj = simulate_events(args.x0, forcing, p, EngineConfig(t_end=args.t_end))
+        _check_scan(forcing, p, args.t_end)
+        traj = simulate_events(args.x0, forcing, p, args.t_end)
     else:
+        _check_scan(forcing, None, args.t_end)
         traj = simulate_quasistatic(args.x0, forcing, p, args.t_end)
 
     out: Path = args.out
@@ -398,9 +418,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "calibrate":
             return run_calibrate(args)
         return run_ou_gen(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SeriesParseError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -15,7 +15,7 @@ steps through a chunk of scan points per numpy call, on panels split at the
 drive's knots.  The drive term of each panel is the closed-form particular
 solution of the drive's parts (a linear piece per panel and each cosine
 term).  The first panel end where x' has stopped brackets the end, and
-safeguarded Newton steps on x' refine it to the configured root tolerance.
+safeguarded Newton steps on x' refine it to the root tolerance.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .model import (
 )
 
 __all__ = [
-    "EngineConfig",
     "SubphaseResult",
     "MaxSubphasesError",
     "next_departure",
@@ -49,34 +48,8 @@ __all__ = [
 ]
 
 _SCAN_CHUNK = 2048
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Engine resolution knobs.
-
-    ``bracket_dt`` (the event-scan step) defaults to 1/64 of the fastest
-    relevant period -- the natural period of the slip oscillation and the
-    period of each cosine term of the drive -- so brief threshold crossings
-    are not stepped over.  Sub-phases advance the exact propagator between
-    scan points, so the scan step sets where roots are bracketed, not the
-    accuracy of the motion.
-    """
-
-    t_end: float
-    root_tol: float = 1e-9
-    bracket_dt: float | None = None
-    max_subphases: int = 1000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end > 0):
-            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
-        if self.root_tol <= 0:
-            raise ValueError("root_tol must be positive")
-        if self.bracket_dt is not None and self.bracket_dt <= 0:
-            raise ValueError("bracket_dt must be positive")
-        if self.max_subphases < 1:
-            raise ValueError("max_subphases must be >= 1")
+_ROOT_TOL = 1e-9  # width of the final bracket of a departure or a stop
+_MAX_SUBPHASES = 1000  # sub-phases one slip may take before it is refused
 
 
 @dataclass
@@ -96,19 +69,16 @@ class SubphaseResult:
 
 
 class MaxSubphasesError(SolverCapError):
-    """Sub-phase cascade exceeded the configured safety cap."""
+    """Sub-phase cascade exceeded the safety cap."""
 
 
-def _scan_step(f: TemperatureSpringForcing, p: FrictionParams | None,
-               cfg: EngineConfig) -> float:
-    """Default event-scan step: 1/64 of the fastest relevant period, that of
-    the slip oscillation or of the drive's fastest cosine term.
-
-    Without friction parameters (pure departure searches) the natural period
-    is taken at unit mass.
+def _scan_step(f: TemperatureSpringForcing, p: FrictionParams | None) -> float:
+    """Event-scan step: 1/64 of the fastest relevant period, that of the slip
+    oscillation or of the drive's fastest cosine term, so brief threshold
+    crossings are not stepped over.  It sets where roots are bracketed, not
+    the accuracy of the motion.  Without friction parameters (pure departure
+    searches) the natural period is taken at unit mass.
     """
-    if cfg.bracket_dt is not None:
-        return cfg.bracket_dt
     fastest = max([natural_frequency(f, p), *(abs(w) for _, w, _ in f.T.terms)])
     return (2.0 * math.pi / fastest) / 64.0
 
@@ -118,7 +88,7 @@ def _scan_step(f: TemperatureSpringForcing, p: FrictionParams | None,
 # --------------------------------------------------------------------------
 
 def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
-                   f_s: float, cfg: EngineConfig, reenter: bool = False) -> float:
+                   f_s: float, t_end: float, reenter: bool = False) -> float:
     """First t >= tau_j with |b(x_j, t)| > f_s, or +inf if none before the horizon.
 
     With ``reenter`` it is the first t >= tau_j with |b(x_j, t)| <= f_s
@@ -127,11 +97,11 @@ def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
     between its knots, so the grid is the knots and the root is the linear
     crossing of the window edge |beta*T - x_j| = f_s/K: exact on the
     interpolant, also where one segment jumps across the whole window.  Any
-    other drive is scanned with step ``bracket_dt`` and at its knots,
+    other drive is scanned with step :func:`_scan_step` and at its knots,
     where a noise path may leave the window and return within one step, and
-    the crossing is refined by :func:`_illinois` to ``root_tol``.
+    the crossing is refined by :func:`_illinois` to ``_ROOT_TOL``.
     """
-    t_hi = horizon(cfg.t_end, f.T)
+    t_hi = horizon(t_end, f.T)
     if tau_j >= t_hi:
         return math.inf
     knots = f.T.knots
@@ -143,7 +113,7 @@ def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
         signed = lambda ts: f.beta * f.T.at(ts) - x_j
         width = f_s / f.K
     else:
-        step = _scan_step(f, None, cfg)
+        step = _scan_step(f, None)
         n = max(1, int(_SCAN_CHUNK / (1.0 + step * _knot_density(knots))))
 
         def grid(c):  # n steps and the breakpoints among them
@@ -183,7 +153,7 @@ def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
     if linear:
         return float(lo + (edge - s_lo) * (hi - lo) / (s_hi - s_lo))
     return _illinois(lambda t: signed(t) - edge, lo, hi, s_lo - edge, s_hi - edge,
-                     cfg.root_tol)
+                     _ROOT_TOL)
 
 
 def _knot_density(knots: np.ndarray | None) -> float:
@@ -335,10 +305,10 @@ class _LinearSubphase:
 
 def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
                      f: TemperatureSpringForcing, p: FrictionParams,
-                     cfg: EngineConfig) -> SubphaseResult:
+                     t_end: float) -> SubphaseResult:
     """Solve one slip sub-phase from rest at (tau_jk, x_jk).
 
-    Steps the exact propagator along the scan grid tau_jk + i * ``bracket_dt``,
+    Steps the exact propagator along the scan grid of :func:`_scan_step`,
     one numpy batch per chunk of 64 points (fewer where the drive's knots
     would make it more than about 2 048 panels), to the first panel end where
     eps * x' is no longer positive; :func:`_stop` refines that end inside its
@@ -346,8 +316,8 @@ def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
     and the end.
     """
     sub = _LinearSubphase(f, p, eps_jk)
-    step = _scan_step(f, p, cfg)
-    t_hi = horizon(cfg.t_end, f.T)
+    step = _scan_step(f, p)
+    t_hi = horizon(t_end, f.T)
     panels = 1.0 + step * _knot_density(sub.breaks)  # per scan step
     n = max(1, min(_CHUNK_STEPS, int(_SCAN_CHUNK / panels)))
     path = [(tau_jk, x_jk, 0.0)]  # (t, x, x') samples
@@ -367,7 +337,7 @@ def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
             _, x, v = state
             x, v = e11 * x + e12 * v + dx, e21 * x + e22 * v + dv
             if eps_jk * v <= 0.0:
-                return result(*_stop(sub, eps_jk, state, (t, x, v), cfg.root_tol),
+                return result(*_stop(sub, eps_jk, state, (t, x, v), _ROOT_TOL),
                               0.0, False)
             state = (t, x, v)
             if t >= t_hi:  # still moving at the horizon
@@ -442,15 +412,15 @@ class _Recorder:
 
 
 def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
-                    cfg: EngineConfig) -> Trajectory:
+                    t_end: float) -> Trajectory:
     """Run the full stick/slip cascade up to the horizon.
 
     Starts static when |b(x0, 0)| <= f_s, otherwise directly in a dynamic
     phase at t = 0.  Raises :class:`MaxSubphasesError` (with the partial
-    trajectory attached) if a single dynamic phase exceeds the sub-phase cap.
+    trajectory attached) if one slip takes more than ``_MAX_SUBPHASES`` sub-phases.
     """
-    t_hi = horizon(cfg.t_end, f.T)
-    step = _scan_step(f, p, cfg)
+    t_hi = horizon(t_end, f.T)
+    step = _scan_step(f, p)
     rec = _Recorder(f, p)
     events: list[Event] = []
 
@@ -464,7 +434,7 @@ def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
 
     while t < t_hi:
         if static:
-            tau_half = next_departure(x, t, f, p.f_s, cfg)
+            tau_half = next_departure(x, t, f, p.f_s, t_end)
             span_end = min(tau_half, t_hi)
             ts = t + step * np.arange(0, max(1, math.ceil((span_end - t) / step)))
             ts = ts[ts < span_end]
@@ -480,7 +450,7 @@ def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
                             epsilon=eps, j=j))
         k = 0
         while True:
-            sub = dynamic_subphase(x, t, eps, f, p, cfg)
+            sub = dynamic_subphase(x, t, eps, f, p, t_end)
             interior = sub.path_t < sub.tau_next
             rec.add(sub.path_t[interior], sub.path_x[interior],
                     sub.path_v[interior], PhaseLabel.DYNAMIC)
@@ -493,11 +463,11 @@ def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
             b_end = eval_forcing(f, x, 0.0, t)
             if abs(b_end) <= p.f_s:
                 break
-            if k >= cfg.max_subphases:
+            if k >= _MAX_SUBPHASES:
                 rec.add(np.array([t]), np.array([x]), np.array([0.0]),
                         PhaseLabel.DYNAMIC)
                 raise MaxSubphasesError(
-                    f"dynamic phase {j} exceeded {cfg.max_subphases} sub-phases "
+                    f"dynamic phase {j} exceeded {_MAX_SUBPHASES} sub-phases "
                     f"at t={t}", partial=rec.build(events))
             eps = 1 if b_end >= 0 else -1
             events.append(Event(time=t, kind=EventKind.SUBPHASE_BOUNDARY,

@@ -209,7 +209,10 @@ def natural_frequency(f: TemperatureSpringForcing,
 
 
 def horizon(t_end: float, T: Drive) -> float:
-    """End of a run: ``t_end``, capped where the drive stops being defined."""
+    """End of a run: ``t_end``, which must be finite and positive, capped
+    where the drive stops being defined."""
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
     return min(t_end, T.t_max)
 
 

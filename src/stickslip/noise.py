@@ -63,11 +63,12 @@ def ou_path(n: int, dt: float, seed: int) -> OuPath:
     return OuPath(dt=dt, values=np.array(values))
 
 
-def perturbed_temperature(Omega: float, rho: float, path: OuPath) -> Drive:
+def perturbed_temperature(Omega: float, rho: float, path: OuPath | None) -> Drive:
     """The drive T(t) = cos(Omega*t) + rho * v(t), v the path interpolated.
 
-    With rho = 0 the drive is cos(Omega*t) alone, defined for all t;
-    otherwise it is defined on the path's time range.
+    With rho = 0 the drive is cos(Omega*t) alone, defined for all t, and the
+    path is not read (it may be None); otherwise it is defined on the path's
+    time range.
     """
     wave = ((1.0, Omega, 0.0),)
     if rho == 0.0:

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .events import EngineConfig, next_departure
+from .events import next_departure
 from .model import (
     Event,
     EventKind,
@@ -40,14 +40,16 @@ __all__ = [
     "stick_levels_on_grid",
 ]
 
+_MAX_EVENTS = 200_000  # events one run may emit before it is refused
+
 
 # --------------------------------------------------------------------------
 # Full staircase simulation
 # --------------------------------------------------------------------------
 
 def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
-                         t_end: float, sample_times: np.ndarray | None = None,
-                         max_events: int = 200_000) -> Trajectory:
+                         t_end: float, sample_times: np.ndarray | None = None
+                         ) -> Trajectory:
     """Iterate quasistatic cycles and emit the staircase trajectory.
 
     Each stick ends, and each equal-threshold slip re-enters the window, where
@@ -62,7 +64,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
 
     ``sample_times`` overrides the output grid (values must lie in
     [0, t_end]); the events are unaffected by sampling.  More than
-    ``max_events`` events raise :class:`SolverCapError`, and a damped forcing
+    ``_MAX_EVENTS`` events raise :class:`SolverCapError`, and a damped forcing
     (c != 0) raises ValueError.
     """
     if f.c != 0.0:
@@ -70,7 +72,6 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
                          "its slips last half an undamped period")
     half_period = math.pi / natural_frequency(f, p)
     t_hi = horizon(t_end, f.T)
-    cfg = EngineConfig(t_end=t_hi)
     x0 = float(x0)
     dx = 2.0 * (p.f_s - p.f_d) / f.K
 
@@ -82,9 +83,9 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
     t, x = 0.0, x0
     k = 0  # lattice index of the stick level x0 + k*dx
     open_end = False
-    while len(events) < max_events:
+    while len(events) < _MAX_EVENTS:
         # the departure holds at t already when the slip landed outside the window
-        depart = next_departure(x, t, f, p.f_s, cfg)
+        depart = next_departure(x, t, f, p.f_s, t_hi)
         if not depart < t_hi:
             break
         eps = 1 if f.beta * f.T.at(depart) - x >= 0 else -1
@@ -93,7 +94,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
         if dx == 0.0:
             # zero-displacement slip: collapse the chatter into one span
             # lasting until the temperature re-enters the admissible window
-            reentry = next_departure(x, land, f, p.f_s, cfg, reenter=True)
+            reentry = next_departure(x, land, f, p.f_s, t_hi, reenter=True)
             land = min(max(land, reentry), t_hi)
         events.append(Event(time=depart, kind=EventKind.ENTER_DYNAMIC,
                             position=x, epsilon=eps, j=len(tau_half)))
@@ -107,7 +108,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
                             position=levels[-1], j=len(tau_half)))
         t, x = land, levels[-1]
     else:
-        raise SolverCapError(f"quasistatic run exceeded {max_events} events "
+        raise SolverCapError(f"quasistatic run exceeded {_MAX_EVENTS} events "
                              f"at t={t}")
 
     tau_half, tau_next = np.array(tau_half), np.array(tau_next)

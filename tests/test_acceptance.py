@@ -21,7 +21,6 @@ from reference_checks import validate_events, validate_trajectory
 from stickslip import (
     CalibrationProblem,
     Drive,
-    EngineConfig,
     EulerConfig,
     EventKind,
     FitParams,
@@ -58,7 +57,7 @@ def test_criterion_01_harmonic_benchmark_event_chain():
     """Reference markers: times (2.574, 13.38, 14.86, 25.74) +- 0.05 and
     stick levels (-6.242, +6.222) +- 0.01."""
     t0 = time.time()
-    traj = simulate_events(6.0, HARMONIC, PARAMS, EngineConfig(t_end=26.0))
+    traj = simulate_events(6.0, HARMONIC, PARAMS, 26.0)
     runtime = time.time() - t0
 
     times = [e.time for e in traj.events]
@@ -102,8 +101,7 @@ def test_criterion_01_harmonic_benchmark_event_chain():
 # --------------------------------------------------------------------------
 
 def test_criterion_02_analytic_departure_time():
-    cfg = EngineConfig(t_end=20.0, root_tol=1e-6)
-    got = next_departure(6.0, 0.0, HARMONIC, 1.2, cfg)
+    got = next_departure(6.0, 0.0, HARMONIC, 1.2, 20.0)
     want = 4.0 * math.acos(0.8)
     ok = abs(got - want) <= 1e-6
     _report(2, ok, f"departure {got:.8f} vs arccos form {want:.8f} "
@@ -158,7 +156,7 @@ def test_criterion_03_discrete_vi_exactness():
 
 def test_criterion_04_euler_event_convergence():
     t0 = time.time()
-    x_exact = simulate_events(6.0, HARMONIC, PARAMS, EngineConfig(t_end=26.0)).x[-1]
+    x_exact = simulate_events(6.0, HARMONIC, PARAMS, 26.0).x[-1]
     errors = []
     for h in (1e-2, 5e-3, 2.5e-3):
         traj = simulate_euler(6.0, HARMONIC, PARAMS,
@@ -180,16 +178,15 @@ def test_criterion_04_euler_event_convergence():
 def test_criterion_05_constant_temperature_closed_form():
     f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
     p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
-    cfg = EngineConfig(t_end=10.0)
-    sub = dynamic_subphase(-0.5, 0.0, 1, f, p, cfg)
+    sub = dynamic_subphase(-0.5, 0.0, 1, f, p, 10.0)
     x_star = 1.0 - 0.5  # beta*T - eps*f_d/K
     closed = x_star + (-0.5 - x_star) * np.cos(sub.path_t)
     path_err = float(np.max(np.abs(sub.path_x - closed)))
     period_err = abs(sub.tau_next - math.pi)
     slip_err = abs(sub.x_next - (2 * x_star - (-0.5)))
-    ok = path_err <= 1e-8 and period_err <= cfg.root_tol and slip_err <= 1e-12
+    ok = path_err <= 1e-8 and period_err <= 1e-9 and slip_err <= 1e-12
     _report(5, ok, f"path error {path_err:.2e} <= 1e-8, half-period error "
-                   f"{period_err:.2e} <= {cfg.root_tol:g}, slip-increment error "
+                   f"{period_err:.2e} <= 1e-9, slip-increment error "
                    f"{slip_err:.2e} <= 1e-12")
     assert ok
 
@@ -230,7 +227,7 @@ def test_criterion_07_noisy_run_phase_structure():
         path = ou_path(3501, 0.01, seed)
         T = perturbed_temperature(0.25, 0.25, path)
         f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
-        traj = simulate_events(6.0, f, PARAMS, EngineConfig(t_end=30.0))
+        traj = simulate_events(6.0, f, PARAMS, 30.0)
         validate_trajectory(traj, PARAMS, b_tol=1e-8)
         validate_events(traj.events, f, PARAMS, tol=1e-6)
 

@@ -1,5 +1,4 @@
 import filecmp
-import functools
 import os
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from stickslip import (PhaseLabel, SeriesParseError, Trajectory, cli, ou_path,
-                       simulate_quasistatic)
+                       quasistatic, simulate_quasistatic)
 from stickslip.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -173,8 +172,7 @@ class TestSimulateCommand:
 
     def test_quasistatic_event_cap_is_solver_error(self, tmp_path, monkeypatch,
                                                    capsys):
-        monkeypatch.setattr(cli, "simulate_quasistatic",
-                            functools.partial(simulate_quasistatic, max_events=3))
+        monkeypatch.setattr(quasistatic, "_MAX_EVENTS", 3)
         temps = tmp_path / "T.csv"
         temps.write_text("0,0.0\n10,0.5\n20,1.5\n30,2.5\n40,2.0\n")
         rc = main(["simulate", "--solver", "quasistatic", "--forcing", "thermal",
@@ -204,6 +202,31 @@ class TestSimulateCommand:
         assert rc == EXIT_OK
         segments = sorted(p.name for p in tmp_path.glob("still_*.txt"))
         assert segments == ["still_s1.txt"]
+
+    def test_rho_zero_builds_no_noise(self, tmp_path, monkeypatch, capsys):
+        # 2e7 samples at --ou-dt 1e-6, above the cap, but rho = 0 reads none
+        def refuse(*args, **kwargs):
+            raise AssertionError("a noise path was built at rho = 0")
+        monkeypatch.setattr(cli, "ou_path", refuse)
+        rc = main(["simulate", "--solver", "events", "--forcing", "thermal",
+                   "--rho", "0", "--ou-dt", "1e-6", "--t-end", "20",
+                   "--out", str(tmp_path / "th")])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "th.txt").exists()
+
+    @pytest.mark.parametrize("solver", ["events", "quasistatic", "euler"])
+    def test_record_after_t0_is_a_data_error(self, tmp_path, capsys, solver):
+        # the run starts at t = 0, where this record holds no temperature
+        temps = tmp_path / "late.csv"
+        temps.write_text("10,0\n20,1\n30,2\n")
+        rc = main(["simulate", "--solver", solver, "--forcing", "thermal",
+                   "--temps", str(temps), "--t-end", "30", "--h", "0.01",
+                   "--out", str(tmp_path / "th")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {temps}: the record starts at t = 10, after t = 0\n")
+        assert not list(tmp_path.glob("th*"))
 
     def test_rho_zero_ignores_seed(self, tmp_path):
         # with rho = 0 the noise path must not leak into the output
@@ -509,27 +532,43 @@ class TestOneRowRecord:
 
 
 class TestSizeCap:
-    """Requests for more rows or noise samples than cli.MAX_SAMPLES are config
-    errors naming the flags, raised before anything of that size exists."""
+    """Requests for more Euler steps, scan steps or noise samples than
+    cli.MAX_SAMPLES are config errors naming the flags, raised before anything
+    of that size exists or is stepped."""
 
     @pytest.fixture(autouse=True)
     def no_allocation(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the request reached the allocating call")
-        monkeypatch.setattr(cli, "ou_path", refuse)
-        monkeypatch.setattr(cli, "simulate_euler", refuse)
+        for name in ("ou_path", "simulate_euler", "simulate_events",
+                     "simulate_quasistatic"):
+            monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("args,flags", [
         (["simulate", "--solver", "euler", "--h", "1e-15", "--forcing", "shaw",
-          "--t-end", "1000"], "--t-end, --h and --record-every"),
+          "--t-end", "1000"], "--t-end and --h"),
         (["simulate", "--solver", "euler", "--h", "1e-300", "--forcing", "shaw",
-          "--t-end", "1e300"], "--t-end, --h and --record-every"),
+          "--t-end", "1e300"], "--t-end and --h"),
+        # 1 001 recorded rows, but 10^12 steps
+        (["simulate", "--solver", "euler", "--h", "1e-9", "--record-every",
+          "1000000000", "--forcing", "shaw", "--t-end", "1000"], "--t-end and --h"),
         (["simulate", "--forcing", "thermal", "--rho", "1", "--ou-dt", "1e-9",
           "--t-end", "100"], "--t-end and --ou-dt"),
-        (["simulate", "--forcing", "thermal", "--ou-dt", "1e-300",
+        (["simulate", "--forcing", "thermal", "--rho", "1", "--ou-dt", "1e-300",
           "--t-end", "1e300"], "--t-end and --ou-dt"),
         (["ou-gen", "--n", "1000000000000", "--dt", "0.01"], "--n"),
-    ], ids=["euler-rows", "euler-overflow", "noise", "noise-overflow", "ou-gen"])
+        # a scan step of 1e-151: numpy's "Maximum allowed size exceeded"
+        (["simulate", "--solver", "events", "--forcing", "shaw", "--m", "1e-300",
+          "--t-end", "1"], "--t-end, --m, --K and --omega"),
+        # a drive period of 6e-9: 10^11 scan steps, a hang
+        (["simulate", "--solver", "events", "--forcing", "shaw", "--omega", "1e9",
+          "--fs", "100", "--t-end", "10"], "--t-end, --m, --K and --omega"),
+        (["simulate", "--solver", "quasistatic", "--forcing", "thermal",
+          "--omega", "1e9", "--fs", "100", "--t-end", "10"],
+         "--t-end, --m, --K and --omega"),
+    ], ids=["euler-rows", "euler-overflow", "euler-steps", "noise",
+            "noise-overflow", "ou-gen", "events-mass", "events-omega",
+            "quasistatic-omega"])
     def test_over_the_cap_is_config_error(self, tmp_path, capsys, args, flags):
         rc = run(tmp_path, *args, "--out", tmp_path / "r")
         assert rc == EXIT_CONFIG

@@ -9,7 +9,6 @@ from reference_checks import validate_events, validate_trajectory
 from stickslip import events
 from stickslip import (
     Drive,
-    EngineConfig,
     EventKind,
     FrictionParams,
     HarmonicForcing,
@@ -22,6 +21,7 @@ from stickslip import (
     ou_path,
     perturbed_temperature,
     simulate_events,
+    simulate_quasistatic,
 )
 
 
@@ -78,33 +78,29 @@ def _fig_oracle():
 class TestNextDeparture:
     def test_linear_ramp(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(slope=0.1))
-        cfg = EngineConfig(t_end=50.0, root_tol=1e-6)
-        t = next_departure(0.0, 0.0, f, 1.0, cfg)
+        t = next_departure(0.0, 0.0, f, 1.0, 50.0)
         assert t == pytest.approx(10.0, abs=1e-6)
 
     def test_static_forever(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.5))
-        cfg = EngineConfig(t_end=100.0)
-        assert math.isinf(next_departure(0.0, 0.0, f, 1.2, cfg))
+        assert math.isinf(next_departure(0.0, 0.0, f, 1.2, 100.0))
 
     def test_harmonic_closed_form(self, harmonic_forcing):
-        cfg = EngineConfig(t_end=20.0, root_tol=1e-6)
-        t = next_departure(6.0, 0.0, harmonic_forcing, 1.2, cfg)
+        t = next_departure(6.0, 0.0, harmonic_forcing, 1.2, 20.0)
         assert t == pytest.approx(4.0 * math.acos(0.8), abs=1e-6)
 
     def test_departure_after_restart(self, harmonic_forcing):
         # from the second stick level the crossing is upward through +f_s
-        cfg = EngineConfig(t_end=30.0, root_tol=1e-9)
         _, t1, x1, tau_32, _, _ = _fig_oracle()
-        t = next_departure(x1, t1, harmonic_forcing, 1.2, cfg)
+        t = next_departure(x1, t1, harmonic_forcing, 1.2, 30.0)
         assert t == pytest.approx(tau_32, abs=1e-6)
 
     def test_regula_falsi_cost_per_departure(self, harmonic_forcing,
                                              harmonic_params, monkeypatch):
         # the start point, one scan chunk and a few regula falsi steps, where
-        # bisection from the scan step down to root_tol takes 27
-        cfg = EngineConfig(t_end=650.0)
-        traj = simulate_events(6.0, harmonic_forcing, harmonic_params, cfg)
+        # bisection from the scan step down to the root tolerance takes 27
+        t_end = 650.0
+        traj = simulate_events(6.0, harmonic_forcing, harmonic_params, t_end)
         calls = []
         forcing = events.eval_forcing
         monkeypatch.setattr(events, "eval_forcing",
@@ -115,19 +111,19 @@ class TestNextDeparture:
         for stick, departure in sticks:
             calls.clear()
             t = next_departure(stick.position, stick.time, harmonic_forcing,
-                               harmonic_params.f_s, cfg)
+                               harmonic_params.f_s, t_end)
             assert t == departure.time
             assert len(calls) <= 8
 
 
 class TestDynamicSubphase:
     def setup_method(self):
-        self.cfg = EngineConfig(t_end=50.0, root_tol=1e-9)
+        self.t_end = 50.0
 
     def test_constant_temperature_closed_form(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
-        sub = dynamic_subphase(-0.5, 0.0, 1, f, p, self.cfg)
+        sub = dynamic_subphase(-0.5, 0.0, 1, f, p, self.t_end)
         assert sub.tau_next == pytest.approx(math.pi, abs=1e-9)
         assert sub.x_next == pytest.approx(1.5, abs=1e-8)
         x_star = 0.5
@@ -137,13 +133,13 @@ class TestDynamicSubphase:
     def test_equal_coefficients_return_to_start(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
         p = FrictionParams(m=1.0, f_d=1.5, f_s=1.5)
-        sub = dynamic_subphase(-0.5, 0.0, 1, f, p, self.cfg)
+        sub = dynamic_subphase(-0.5, 0.0, 1, f, p, self.t_end)
         assert sub.x_next == pytest.approx(-0.5, abs=1e-8)
 
     def test_free_oscillator_half_period(self):
         f = TemperatureSpringForcing(K=1.0, beta=0.0, T=Drive(offset=0.0))
         p = FrictionParams(m=1.0, f_d=0.0, f_s=0.0)
-        sub = dynamic_subphase(1.0, 0.0, -1, f, p, self.cfg)
+        sub = dynamic_subphase(1.0, 0.0, -1, f, p, self.t_end)
         assert sub.tau_next == pytest.approx(math.pi, abs=1e-9)
         assert sub.x_next == pytest.approx(-1.0, abs=1e-9)
 
@@ -157,15 +153,15 @@ class TestDynamicSubphase:
             harmonic = HarmonicForcing(beta=6.0, Omega=Om, alpha=0.0)
             spring = TemperatureSpringForcing(
                 K=1.0, beta=2.0, T=Drive(terms=((3.0, Om, 0.0),)))
-            s_h = dynamic_subphase(x0, tau, eps, harmonic, p, self.cfg)
-            s_t = dynamic_subphase(x0, tau, eps, spring, p, self.cfg)
+            s_h = dynamic_subphase(x0, tau, eps, harmonic, p, self.t_end)
+            s_t = dynamic_subphase(x0, tau, eps, spring, p, self.t_end)
             assert abs(s_h.tau_next - s_t.tau_next) < 1e-12
             assert abs(s_h.x_next - s_t.x_next) < 1e-12
 
     def test_scaled_stiffness_half_period(self):
         f = TemperatureSpringForcing(K=4.0, beta=1.0, T=Drive(offset=1.0))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=2.0)
-        sub = dynamic_subphase(0.0, 0.0, 1, f, p, self.cfg)
+        sub = dynamic_subphase(0.0, 0.0, 1, f, p, self.t_end)
         assert sub.tau_next == pytest.approx(math.pi / 2.0, abs=1e-9)
         # x* = beta*T - eps*f_d/K = 0.75; lands at 2*x* - x0
         assert sub.x_next == pytest.approx(1.5, abs=1e-8)
@@ -173,7 +169,7 @@ class TestDynamicSubphase:
     def test_harmonic_slip_matches_oracle(self, harmonic_forcing, harmonic_params):
         tau_half, t1, x1, *_ = _fig_oracle()
         sub = dynamic_subphase(6.0, tau_half, -1, harmonic_forcing,
-                               harmonic_params, EngineConfig(t_end=30.0))
+                               harmonic_params, 30.0)
         assert sub.tau_next == pytest.approx(t1, abs=1e-5)
         assert sub.x_next == pytest.approx(x1, abs=1e-5)
 
@@ -186,7 +182,7 @@ class TestDynamicSubphase:
         assert t_dep == pytest.approx(14.8577, abs=1e-3)
         t2_oracle, x2_oracle = _harmonic_slip_oracle(-6.24223, t_dep, eps=+1)
         sub = dynamic_subphase(-6.24223, t_dep, 1, harmonic_forcing,
-                               harmonic_params, EngineConfig(t_end=40.0))
+                               harmonic_params, 40.0)
         assert sub.tau_next == pytest.approx(t2_oracle, abs=1e-5)
         assert sub.tau_next == pytest.approx(25.74, abs=0.05)
         assert sub.x_next == pytest.approx(x2_oracle, abs=1e-5)
@@ -194,7 +190,7 @@ class TestDynamicSubphase:
     def test_horizon_truncation(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
-        sub = dynamic_subphase(-0.5, 0.0, 1, f, p, EngineConfig(t_end=1.0))
+        sub = dynamic_subphase(-0.5, 0.0, 1, f, p, 1.0)
         assert sub.truncated
         assert sub.tau_next == 1.0
 
@@ -205,9 +201,9 @@ class TestDynamicSubphase:
         tau_half = 4.0 * math.acos(0.8)
         t_end = tau_half + 8.0
         full = dynamic_subphase(6.0, tau_half, -1, harmonic_forcing,
-                                harmonic_params, EngineConfig(t_end=30.0))
+                                harmonic_params, 30.0)
         cut = dynamic_subphase(6.0, tau_half, -1, harmonic_forcing,
-                               harmonic_params, EngineConfig(t_end=t_end))
+                               harmonic_params, t_end)
         assert cut.truncated
         assert cut.tau_next == t_end
         n = len(cut.path_t) - 1
@@ -220,18 +216,21 @@ class TestDynamicSubphase:
         assert cut.path_v[-1] == pytest.approx(v(t_end), abs=1e-9)
 
     def test_path_samples_are_the_scan_grid(self, harmonic_forcing,
-                                            harmonic_params):
-        # interior samples sit exactly at tau + i*step, across chunks and
-        # with panels split at noise breakpoints
+                                            harmonic_params, monkeypatch):
+        # interior samples sit exactly at tau + i*step, across chunks (cut to
+        # 8 steps, so that every slip crosses several) and with panels split
+        # at noise breakpoints
+        monkeypatch.setattr(events, "_CHUNK_STEPS", 8)
         T = perturbed_temperature(0.25, 0.25, ou_path(3001, 0.01, 0))
         noisy = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
-        cfg = EngineConfig(t_end=30.0, bracket_dt=0.05)
+        step = (2.0 * math.pi) / 64.0
         for f, x0, tau, eps in [(harmonic_forcing, 6.0, 4.0 * math.acos(0.8), -1),
                                 (noisy, 6.0 * T.at(3.0) - 4.0, 3.0, 1)]:
-            sub = dynamic_subphase(x0, tau, eps, f, harmonic_params, cfg)
+            assert events._scan_step(f, harmonic_params) == step
+            sub = dynamic_subphase(x0, tau, eps, f, harmonic_params, 30.0)
             i = np.arange(1, len(sub.path_t) - 1)
-            assert len(i) > 50
-            assert np.array_equal(sub.path_t[1:-1], tau + i * 0.05)
+            assert len(i) > 2 * 8
+            assert np.array_equal(sub.path_t[1:-1], tau + i * step)
             assert not sub.truncated
 
     @staticmethod
@@ -249,7 +248,7 @@ class TestDynamicSubphase:
         v_zero.terminal, v_zero.direction = True, -eps
         sol = solve_ivp(rhs, [tau, t_end], [x0, eps * 1e-14], events=v_zero,
                         rtol=1e-12, atol=1e-14, max_step=0.05, dense_output=True)
-        sub = dynamic_subphase(x0, tau, eps, f, p, EngineConfig(t_end=t_end))
+        sub = dynamic_subphase(x0, tau, eps, f, p, t_end)
         assert not sub.truncated
         assert sub.tau_next == pytest.approx(sol.t_events[0][0], abs=1e-6)
         assert sub.x_next == pytest.approx(sol.y_events[0][0][0], abs=1e-6)
@@ -293,8 +292,8 @@ class TestDynamicSubphase:
                                      T=Drive(terms=((1.0, 2.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         step = (2.0 * math.pi / 2.0) / 64.0
-        assert events._scan_step(f, p, EngineConfig(t_end=10.0)) == step
-        traj = simulate_events(6.0, f, p, EngineConfig(t_end=10.0))
+        assert events._scan_step(f, p) == step
+        traj = simulate_events(6.0, f, p, 10.0)
         stick = traj.t[traj.t < traj.events[1].time]
         assert len(stick) > 5
         assert np.array_equal(stick, step * np.arange(len(stick)))
@@ -302,13 +301,13 @@ class TestDynamicSubphase:
     def test_newton_cost_per_subphase_root(self, harmonic_forcing,
                                            harmonic_params, monkeypatch):
         # point evaluations after the chunk that brackets the stop, where
-        # bisection from the scan step down to root_tol takes 27
+        # bisection from the scan step down to the root tolerance takes 27
         points = []
         point = events._LinearSubphase.eval
         monkeypatch.setattr(events._LinearSubphase, "eval",
                             lambda *args: points.append(1) or point(*args))
         traj = simulate_events(6.0, harmonic_forcing, harmonic_params,
-                               EngineConfig(t_end=650.0))
+                               650.0)
         roots = sum(e.kind in (EventKind.ENTER_STATIC, EventKind.SUBPHASE_BOUNDARY)
                     for e in traj.events) - 1
         assert roots > 40
@@ -328,8 +327,8 @@ class TestDynamicSubphase:
         p = FrictionParams(m=m, f_d=f_d, f_s=f_d + gap)
         eps = sign
         x0 = target - eps * (f_d + offset) / K  # b(x0) = eps*(f_d + offset)
-        cfg = EngineConfig(t_end=4.0 * math.pi * math.sqrt(m / K))
-        sub = dynamic_subphase(x0, 0.0, eps, f, p, cfg)
+        t_end = 4.0 * math.pi * math.sqrt(m / K)
+        sub = dynamic_subphase(x0, 0.0, eps, f, p, t_end)
         x_star = target - eps * f_d / K
         assert sub.tau_next == pytest.approx(math.pi * math.sqrt(m / K),
                                              abs=1e-7)
@@ -343,7 +342,7 @@ class TestDynamicSubphase:
         f = TemperatureSpringForcing(
             K=1.0, beta=1.0, T=Drive(knots=times, values=0.1 * times))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
-        sub = dynamic_subphase(0.0, 10.0, 1, f, p, EngineConfig(t_end=20.0))
+        sub = dynamic_subphase(0.0, 10.0, 1, f, p, 20.0)
 
         def v_closed(t):
             return 0.1 + 0.5 * math.sin(t - 10.0) - 0.1 * math.cos(t - 10.0)
@@ -359,7 +358,7 @@ class TestSimulateEvents:
     def test_static_forever_log(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.5))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        traj = simulate_events(0.0, f, p, EngineConfig(t_end=50.0))
+        traj = simulate_events(0.0, f, p, 50.0)
         assert len(traj.events) == 1
         assert traj.events[0].kind == EventKind.ENTER_STATIC
         assert np.all(traj.x == 0.0)
@@ -368,7 +367,7 @@ class TestSimulateEvents:
     def test_harmonic_benchmark_chain(self, harmonic_forcing, harmonic_params):
         oracle = _fig_oracle()
         traj = simulate_events(6.0, harmonic_forcing, harmonic_params,
-                               EngineConfig(t_end=26.0, root_tol=1e-9))
+                               26.0)
         kinds = [e.kind for e in traj.events]
         assert kinds == [EventKind.ENTER_STATIC, EventKind.ENTER_DYNAMIC,
                          EventKind.ENTER_STATIC, EventKind.ENTER_DYNAMIC,
@@ -390,7 +389,7 @@ class TestSimulateEvents:
     def test_starts_dynamic_when_threshold_exceeded(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=2.0))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
-        traj = simulate_events(0.0, f, p, EngineConfig(t_end=10.0))
+        traj = simulate_events(0.0, f, p, 10.0)
         assert traj.events[0].kind == EventKind.ENTER_DYNAMIC
         assert traj.events[0].time == 0.0
 
@@ -399,7 +398,7 @@ class TestSimulateEvents:
         f = TemperatureSpringForcing(K=1.0, beta=1.0,
                                      T=Drive(offset=1.5, slope=0.1))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
-        traj = simulate_events(0.0, f, p, EngineConfig(t_end=5.0))
+        traj = simulate_events(0.0, f, p, 5.0)
         kinds = [e.kind for e in traj.events]
         assert kinds[0] == EventKind.ENTER_STATIC
         assert kinds[1] == EventKind.ENTER_DYNAMIC
@@ -408,7 +407,7 @@ class TestSimulateEvents:
     def test_prop_isolated_zeros_and_sign_coherence(self, harmonic_forcing,
                                                     harmonic_params):
         traj = simulate_events(6.0, harmonic_forcing, harmonic_params,
-                               EngineConfig(t_end=26.0))
+                               26.0)
         self._check_subphase_samples(traj, harmonic_forcing, harmonic_params)
 
     def test_prop_on_noisy_run(self):
@@ -416,7 +415,7 @@ class TestSimulateEvents:
         T = perturbed_temperature(0.25, 0.25, path)
         f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        traj = simulate_events(6.0, f, p, EngineConfig(t_end=30.0))
+        traj = simulate_events(6.0, f, p, 30.0)
         assert sum(e.kind == EventKind.SUBPHASE_BOUNDARY for e in traj.events) >= 2
         self._check_subphase_samples(traj, f, p)
 
@@ -447,14 +446,14 @@ class TestSimulateEvents:
 
     def test_separation_of_events(self, harmonic_forcing, harmonic_params):
         traj = simulate_events(6.0, harmonic_forcing, harmonic_params,
-                               EngineConfig(t_end=26.0))
+                               26.0)
         events = list(traj.events)
         for a, b in zip(events, events[1:]):
             assert a.time < b.time
 
     def test_c1_continuity_at_events(self, harmonic_forcing, harmonic_params):
         traj = simulate_events(6.0, harmonic_forcing, harmonic_params,
-                               EngineConfig(t_end=26.0, root_tol=1e-10))
+                               26.0)
         for e in traj.events:
             at = np.isclose(traj.t, e.time, rtol=0, atol=1e-12)
             if np.any(at):
@@ -464,7 +463,7 @@ class TestSimulateEvents:
     def test_cross_solver_terminal_state(self, harmonic_forcing, harmonic_params):
         from stickslip import EulerConfig, simulate_euler
         ev = simulate_events(6.0, harmonic_forcing, harmonic_params,
-                             EngineConfig(t_end=26.0))
+                             26.0)
         h = 5e-3
         eu = simulate_euler(6.0, harmonic_forcing, harmonic_params,
                             EulerConfig(h=h, n_steps=int(26.0 / h)))
@@ -475,7 +474,7 @@ class TestSimulateEvents:
         """The first slip's end against solve_ivp on the signed equation."""
         from scipy.integrate import solve_ivp
         f = HarmonicForcing(beta=6.0, Omega=Om, alpha=alpha)
-        traj = simulate_events(6.0, f, p, EngineConfig(t_end=26.0))
+        traj = simulate_events(6.0, f, p, 26.0)
         tau_half = traj.events[1].time
         assert traj.events[1].epsilon == -1
 
@@ -519,7 +518,7 @@ class TestSimulateEvents:
         from stickslip import EulerConfig, simulate_euler
         f = HarmonicForcing(beta=6.0, Omega=0.25, alpha=0.05)
         x_ref = simulate_events(6.0, f, harmonic_params,
-                                EngineConfig(t_end=26.0)).x[-1]
+                                26.0).x[-1]
         errs = []
         for h in (5e-3, 2.5e-3, 1.25e-3):
             eu = simulate_euler(6.0, f, harmonic_params,
@@ -528,19 +527,20 @@ class TestSimulateEvents:
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.4)
         assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.4)
 
-    def test_max_subphases_diagnostic(self):
+    def test_max_subphases_diagnostic(self, monkeypatch):
+        monkeypatch.setattr(events, "_MAX_SUBPHASES", 1)
         path = ou_path(3501, 0.01, 2)  # seed with >= 2 sub-phase boundaries
         T = perturbed_temperature(0.25, 0.25, path)
         f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        with pytest.raises(MaxSubphasesError) as err:
-            simulate_events(6.0, f, p, EngineConfig(t_end=30.0, max_subphases=1))
+        with pytest.raises(MaxSubphasesError, match="exceeded 1 sub-phases") as err:
+            simulate_events(6.0, f, p, 30.0)
         assert err.value.partial is not None
         assert len(err.value.partial) > 0
 
     def test_trajectory_validates(self, harmonic_forcing, harmonic_params):
         traj = simulate_events(6.0, harmonic_forcing, harmonic_params,
-                               EngineConfig(t_end=26.0))
+                               26.0)
         validate_trajectory(traj, harmonic_params, b_tol=1e-6)
 
     def test_horizon_capped_by_forcing_domain(self):
@@ -549,17 +549,20 @@ class TestSimulateEvents:
         T = perturbed_temperature(0.25, 0.25, path)
         f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        traj = simulate_events(6.0, f, p, EngineConfig(t_end=50.0))
+        traj = simulate_events(6.0, f, p, 50.0)
         assert traj.t[-1] <= 10.0
         assert traj.t[-1] > 9.0
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(t_end=1.0, root_tol=0.0)
-
     @pytest.mark.parametrize("t_end", [-1.0, 0.0, math.inf, math.nan])
-    def test_t_end_must_be_finite_and_positive(self, t_end):
+    def test_t_end_must_be_finite_and_positive(self, harmonic_forcing,
+                                                harmonic_params, t_end):
         # simulate_events with t_end = -1 used to return one static row at
-        # t = -1 with |b| > f_s and no events
-        with pytest.raises(ValueError, match="t_end"):
-            EngineConfig(t_end=t_end)
+        # t = -1 with |b| > f_s and no events; every entry point that takes a
+        # horizon refuses it
+        f, p = harmonic_forcing, harmonic_params
+        for entry in (lambda: simulate_events(6.0, f, p, t_end),
+                      lambda: next_departure(6.0, 0.0, f, p.f_s, t_end),
+                      lambda: dynamic_subphase(6.0, 0.0, -1, f, p, t_end),
+                      lambda: simulate_quasistatic(6.0, f, p, t_end)):
+            with pytest.raises(ValueError, match="t_end"):
+                entry()

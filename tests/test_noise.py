@@ -6,7 +6,6 @@ import pytest
 
 from stickslip import (
     Drive,
-    EngineConfig,
     FrictionParams,
     SeriesParseError,
     TemperatureSpringForcing,
@@ -107,7 +106,7 @@ class TestPerturbedTemperature:
         for seed in (0, 1):
             T = perturbed_temperature(0.25, 0.25, ou_path(2001, 0.01, seed))
             f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
-            traj = simulate_events(6.0, f, p, EngineConfig(t_end=20.0))
+            traj = simulate_events(6.0, f, p, 20.0)
             logs.append(tuple(round(e.time, 6) for e in traj.events))
         assert logs[0] != logs[1]
 

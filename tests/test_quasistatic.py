@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from reference_checks import validate_trajectory
 from stickslip import (
     Drive,
-    EngineConfig,
     EventKind,
     FrictionParams,
     HarmonicForcing,
@@ -18,6 +17,7 @@ from stickslip import (
     next_departure,
     ou_path,
     perturbed_temperature,
+    quasistatic,
     simulate_events,
     simulate_quasistatic,
     stick_levels_on_grid,
@@ -101,7 +101,7 @@ def _exit_temperatures(x, f_s, K, beta, temperature):
     for sign in (-1.0, 1.0):
         T = temperature(sign)
         f = TemperatureSpringForcing(K=K, beta=beta, T=T)
-        t = next_departure(x, 0.0, f, f_s, EngineConfig(t_end=100.0))
+        t = next_departure(x, 0.0, f, f_s, 100.0)
         out.append(T.at(t))
     return tuple(out)
 
@@ -178,7 +178,7 @@ class TestWindowSearch:
         first = [next(e.time for e in traj.events
                       if e.kind == EventKind.ENTER_DYNAMIC) for traj in
                  (simulate_quasistatic(x0, f, p, t_end),
-                  simulate_events(x0, f, p, EngineConfig(t_end=t_end)))]
+                  simulate_events(x0, f, p, t_end))]
         assert first[0] > 0.0
         assert first[0] == first[1]
 
@@ -202,7 +202,7 @@ class TestWindowSearch:
         assert departure.time == pytest.approx(19.957, abs=1e-3)
         # the event engine's search from the same stick agrees
         assert next_departure(-0.8, events[stick].time, f, p.f_s,
-                              EngineConfig(t_end=t_end)) == departure.time
+                              t_end) == departure.time
 
     def test_reentry_across_the_whole_window(self):
         # with f_d = f_s the slip at t = 5 lasts until the drive re-enters
@@ -218,8 +218,7 @@ class TestWindowSearch:
             EventKind.ENTER_STATIC, EventKind.ENTER_DYNAMIC]
         assert [e.time for e in traj.events] == pytest.approx([0.0, 5.0, 22.5, 27.5],
                                                     abs=1e-12)
-        cfg = EngineConfig(t_end=30.0)
-        assert next_departure(0.0, 12.0, f, 1.0, cfg, reenter=True) == 22.5
+        assert next_departure(0.0, 12.0, f, 1.0, 30.0, reenter=True) == 22.5
 
 
 class TestSimulateQuasistatic:
@@ -289,10 +288,11 @@ class TestSimulateQuasistatic:
         traj = simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0)
         assert np.max(np.abs(np.diff(traj.x))) < 0.15  # no jumps at slips
 
-    def test_event_cap_is_a_solver_error(self):
+    def test_event_cap_is_a_solver_error(self, monkeypatch):
+        monkeypatch.setattr(quasistatic, "_MAX_EVENTS", 3)
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
         with pytest.raises(SolverCapError, match="exceeded 3 events"):
-            simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0, max_events=3)
+            simulate_quasistatic(0.0, _ramp_forcing(), p, 50.0)
 
     def test_damped_forcing_raises(self, harmonic_params):
         # the quasistatic slip lasts half an undamped period
@@ -310,7 +310,7 @@ class TestAgainstEventEngine:
             T = Drive(terms=((1.0, eps_rate, 0.0),))
             f = TemperatureSpringForcing(K=1.0, beta=2.0, T=T)
             t_end = math.acos(0.4) / eps_rate + 10.0
-            traj = simulate_events(2.0, f, p, EngineConfig(t_end=t_end))
+            traj = simulate_events(2.0, f, p, t_end)
             stats = [e for e in traj.events
                      if e.kind == EventKind.ENTER_STATIC and e.time > 0]
             errs[eps_rate] = abs(stats[0].position - 1.6)
