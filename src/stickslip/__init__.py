@@ -29,14 +29,12 @@ from .euler import (
     simulate_euler,
 )
 from .events import (
-    MaxSubphasesError,
     SubphaseResult,
     dynamic_subphase,
     next_departure,
     simulate_events,
 )
 from .noise import (
-    OuPath,
     SeriesParseError,
     load_temperature_series,
     ou_path,

@@ -52,18 +52,17 @@ _BLOCK_ROWS = 4096  # rows formatted per write, to bound the temporaries
 # the most Euler steps, scan steps or noise samples one command may ask for,
 # checked before anything of that size is allocated or stepped
 MAX_SAMPLES = 10_000_000
+# the smallest accepted value of the integer flags that count something
+_LEAST = {"restarts": 1, "record_every": 1, "n": 2}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _fmt_row(values) -> str:
-    return " ".join(_FMT % v for v in values)
-
-
 def _write_rows(fh, columns: np.ndarray) -> None:
-    """Write the rows of a (n, k) array as _fmt_row lines, a block at a time."""
+    """Write the rows of a (n, k) array, each number as _FMT and separated by
+    spaces, a block at a time."""
     row = " ".join([_FMT] * columns.shape[1]) + "\n"
     for i in range(0, len(columns), _BLOCK_ROWS):
         block = columns[i:i + _BLOCK_ROWS]
@@ -180,16 +179,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """Reject a non-finite number in any float flag, a --t-end, --h or
-    --ou-dt that is not positive, and a --restarts or --record-every below 1."""
+    """Reject a non-finite number in any float flag, a --t-end, --h, --ou-dt
+    or --dt that is not positive, a --restarts or --record-every below 1 and
+    an --n below 2."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-        if name in ("t_end", "h", "ou_dt") and value is not None and value <= 0:
+        if name in ("t_end", "h", "ou_dt", "dt") and value is not None and value <= 0:
             raise ConfigError(f"{flag} must be positive, got {value}")
-        if name in ("restarts", "record_every") and value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
+        least = _LEAST.get(name)
+        if least is not None and value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
 
 
 def _check_size(flags: str, size: float, what: str) -> None:
@@ -197,6 +198,14 @@ def _check_size(flags: str, size: float, what: str) -> None:
     if size > MAX_SAMPLES:
         raise ConfigError(f"{flags}: {size:.3g} {what} requested, above the "
                           f"cap of {MAX_SAMPLES}")
+
+
+def _noise_path(flag: str, n: int, dt: float, seed: int) -> Drive:
+    """:func:`ou_path`, with a step it refuses reported against ``flag``."""
+    try:
+        return ou_path(n, dt, seed)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _merge_config(argv: list[str]) -> list[str]:
@@ -245,13 +254,13 @@ def _build_thermal_forcing(args) -> TemperatureSpringForcing:
         return TemperatureSpringForcing(K=args.K, beta=args.beta, T=T)
     path = None  # at rho = 0 the drive reads no noise
     if args.rho != 0.0:
-        if args.ou_dt is not None:
-            ou_dt = args.ou_dt
-        else:
+        ou_dt, flag = args.ou_dt, "--ou-dt"
+        if ou_dt is None:
             ou_dt = args.h if args.solver == "euler" and args.h else 0.01
+            flag = "--ou-dt (an Euler run takes --h as its default)"
         _check_size("--t-end and --ou-dt", args.t_end / ou_dt + 2, "noise samples")
         n = int(math.ceil(args.t_end / ou_dt)) + 2
-        path = ou_path(n, ou_dt, args.seed)
+        path = _noise_path(flag, n, ou_dt, args.seed)
     return TemperatureSpringForcing(
         K=args.K, beta=args.beta,
         T=perturbed_temperature(args.omega, args.rho, path))
@@ -271,6 +280,20 @@ def _check_scan(forcing: TemperatureSpringForcing, p: FrictionParams | None,
                     horizon(t_end, forcing.T) / min(steps), "scan steps")
 
 
+def _check_finite(traj: Trajectory) -> None:
+    """Refuse a solution that holds a non-finite number, as a force overflowed
+    by large flags gives; one column at a time, so no copy of the record is
+    made."""
+    rows = [int(ok.argmin()) for ok in map(np.isfinite, (
+        traj.t, traj.x, traj.v, traj.friction, traj.b)) if not ok.all()]
+    times = [float(traj.t[min(rows)])] if rows else []
+    times += [e.time for e in traj.events
+              if not (math.isfinite(e.time) and math.isfinite(e.position))]
+    if times:
+        raise SolverCapError(f"the solution is not finite from t = {min(times):.9g}; "
+                             f"reduce --K, --beta or --x0")
+
+
 def run_simulate(args) -> int:
     p = FrictionParams(m=args.m, f_d=args.fd, f_s=args.fs)
     if args.forcing == "shaw":
@@ -281,27 +304,30 @@ def run_simulate(args) -> int:
     else:
         forcing = _build_thermal_forcing(args)
 
-    if args.solver == "euler":
-        if not args.h:
-            raise ConfigError("euler solver requires --h")
-        # the most steps that stay within the horizon; the relative slack
-        # keeps a whole quotient such as 65/1e-3 whole under rounding
-        steps = horizon(args.t_end, forcing.T) / args.h * (1 + 1e-9)
-        _check_size("--t-end and --h", steps + 1, "Euler steps")
-        n_steps = math.floor(steps)
-        if n_steps * args.h > forcing.T.t_max:  # keep the last step on the record
-            n_steps -= 1
-        if n_steps < 1:
-            raise ConfigError(f"--h {args.h} is longer than the run's horizon")
-        cfg = EulerConfig(h=args.h, n_steps=n_steps,
-                          record_every=args.record_every)
-        traj = simulate_euler(args.x0, forcing, p, cfg)
-    elif args.solver == "events":
-        _check_scan(forcing, p, args.t_end)
-        traj = simulate_events(args.x0, forcing, p, args.t_end)
-    else:
-        _check_scan(forcing, None, args.t_end)
-        traj = simulate_quasistatic(args.x0, forcing, p, args.t_end)
+    # an overflowing force is refused after the solve, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.solver == "euler":
+            if not args.h:
+                raise ConfigError("euler solver requires --h")
+            # the most steps that stay within the horizon; the relative slack
+            # keeps a whole quotient such as 65/1e-3 whole under rounding
+            steps = horizon(args.t_end, forcing.T) / args.h * (1 + 1e-9)
+            _check_size("--t-end and --h", steps + 1, "Euler steps")
+            n_steps = math.floor(steps)
+            if n_steps * args.h > forcing.T.t_max:  # keep the last step on the record
+                n_steps -= 1
+            if n_steps < 1:
+                raise ConfigError(f"--h {args.h} is longer than the run's horizon")
+            cfg = EulerConfig(h=args.h, n_steps=n_steps,
+                              record_every=args.record_every)
+            traj = simulate_euler(args.x0, forcing, p, cfg)
+        elif args.solver == "events":
+            _check_scan(forcing, p, args.t_end)
+            traj = simulate_events(args.x0, forcing, p, args.t_end)
+        else:
+            _check_scan(forcing, None, args.t_end)
+            traj = simulate_quasistatic(args.x0, forcing, p, args.t_end)
+    _check_finite(traj)
 
     out: Path = args.out
     write_trajectory(out.with_name(out.name + ".txt"), traj, header=args.header)
@@ -370,10 +396,11 @@ def run_calibrate(args) -> int:
     with open(out.with_name(out.name + ".fit.txt"), "w") as fh:
         if args.header:
             fh.write("# run z0 K f_d f_s beta residual\n")
+        rows = []
         for r, res in enumerate(results):
             q = res.params
-            fh.write(f"{r} " + _fmt_row((q.z0, q.K, q.f_d, q.f_s, q.beta,
-                                         res.residual)) + "\n")
+            rows.append((r, q.z0, q.K, q.f_d, q.f_s, q.beta, res.residual))
+        _write_rows(fh, np.array(rows))
     best = min(results, key=lambda res: res.residual)
     with open(out.with_name(out.name + ".best.txt"), "w") as fh:
         for name, value in zip(PARAM_NAMES, best.params):
@@ -383,19 +410,19 @@ def run_calibrate(args) -> int:
     with open(out.with_name(out.name + ".history.txt"), "w") as fh:
         if args.header:
             fh.write("# eval best_residual\n")
-        for i, value in enumerate(best.history):
-            fh.write(f"{i} {_FMT % value}\n")
+        _write_rows(fh, np.column_stack((np.arange(len(best.history)),
+                                         best.history)))
     return EXIT_OK
 
 
 def run_ou_gen(args) -> int:
     _check_size("--n", args.n, "noise samples")
-    path = ou_path(args.n, args.dt, args.seed)
+    path = _noise_path("--dt", args.n, args.dt, args.seed)
     out: Path = args.out
     with open(out.with_name(out.name + ".txt"), "w") as fh:
         if args.header:
             fh.write("# t v\n")
-        _write_rows(fh, np.column_stack((path.times(), path.values)))
+        _write_rows(fh, np.column_stack((path.knots, path.values)))
     return EXIT_OK
 
 

@@ -100,12 +100,11 @@ def simulate_euler(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
     ph_arr[0] = STATIC if static else DYNAMIC
 
     events: list[Event] = []
-    j = 0
     if static:
-        events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x, j=0))
+        events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x))
     else:
         events.append(Event(time=0.0, kind=EventKind.ENTER_DYNAMIC, position=x,
-                            epsilon=int(math.copysign(1.0, b)), j=0))
+                            epsilon=int(math.copysign(1.0, b))))
     prev_static = static
 
     rec = 0
@@ -119,13 +118,12 @@ def simulate_euler(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
 
         if static != prev_static:
             if static:
-                j += 1
                 events.append(Event(time=t, kind=EventKind.ENTER_STATIC,
-                                    position=x, j=j))
+                                    position=x))
             else:
                 eps = int(math.copysign(1.0, b)) if b != 0.0 else 1
                 events.append(Event(time=t, kind=EventKind.ENTER_DYNAMIC,
-                                    position=x, epsilon=eps, j=j))
+                                    position=x, epsilon=eps))
             prev_static = static
 
         if n % every == 0:

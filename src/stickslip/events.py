@@ -41,7 +41,6 @@ from .model import (
 
 __all__ = [
     "SubphaseResult",
-    "MaxSubphasesError",
     "next_departure",
     "dynamic_subphase",
     "simulate_events",
@@ -66,10 +65,6 @@ class SubphaseResult:
     path_x: np.ndarray
     path_v: np.ndarray
     truncated: bool = False
-
-
-class MaxSubphasesError(SolverCapError):
-    """Sub-phase cascade exceeded the safety cap."""
 
 
 def _scan_step(f: TemperatureSpringForcing, p: FrictionParams | None) -> float:
@@ -416,8 +411,8 @@ def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
     """Run the full stick/slip cascade up to the horizon.
 
     Starts static when |b(x0, 0)| <= f_s, otherwise directly in a dynamic
-    phase at t = 0.  Raises :class:`MaxSubphasesError` (with the partial
-    trajectory attached) if one slip takes more than ``_MAX_SUBPHASES`` sub-phases.
+    phase at t = 0.  Raises :class:`SolverCapError` if one slip takes more
+    than ``_MAX_SUBPHASES`` sub-phases.
     """
     t_hi = horizon(t_end, f.T)
     step = _scan_step(f, p)
@@ -426,11 +421,10 @@ def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
 
     t = 0.0
     x = float(x0)
-    j = 0
     b0 = eval_forcing(f, x, 0.0, 0.0)
     static = abs(b0) <= p.f_s
     if static:
-        events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x, j=0))
+        events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x))
 
     while t < t_hi:
         if static:
@@ -444,12 +438,11 @@ def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
                         PhaseLabel.STATIC)
                 return rec.build(events)
             t = tau_half
-        # dynamic phase j starting at time t, position x
+        # a slip starting at time t, position x
         eps = 1 if eval_forcing(f, x, 0.0, t) >= 0 else -1
         events.append(Event(time=t, kind=EventKind.ENTER_DYNAMIC, position=x,
-                            epsilon=eps, j=j))
-        k = 0
-        while True:
+                            epsilon=eps))
+        for _ in range(_MAX_SUBPHASES):
             sub = dynamic_subphase(x, t, eps, f, p, t_end)
             interior = sub.path_t < sub.tau_next
             rec.add(sub.path_t[interior], sub.path_x[interior],
@@ -459,21 +452,16 @@ def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
                         PhaseLabel.DYNAMIC)
                 return rec.build(events)
             t, x = sub.tau_next, sub.x_next
-            k += 1
             b_end = eval_forcing(f, x, 0.0, t)
             if abs(b_end) <= p.f_s:
                 break
-            if k >= _MAX_SUBPHASES:
-                rec.add(np.array([t]), np.array([x]), np.array([0.0]),
-                        PhaseLabel.DYNAMIC)
-                raise MaxSubphasesError(
-                    f"dynamic phase {j} exceeded {_MAX_SUBPHASES} sub-phases "
-                    f"at t={t}", partial=rec.build(events))
             eps = 1 if b_end >= 0 else -1
             events.append(Event(time=t, kind=EventKind.SUBPHASE_BOUNDARY,
-                                position=x, epsilon=eps, j=j, k=k))
-        j += 1
-        events.append(Event(time=t, kind=EventKind.ENTER_STATIC, position=x, j=j))
+                                position=x, epsilon=eps))
+        else:
+            raise SolverCapError(f"a slip exceeded {_MAX_SUBPHASES} sub-phases "
+                                 f"at t={t}")
+        events.append(Event(time=t, kind=EventKind.ENTER_STATIC, position=x))
         static = True
         if t >= t_hi:
             break

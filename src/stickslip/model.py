@@ -204,8 +204,14 @@ def eval_forcing(f: TemperatureSpringForcing, x, v, t):
 def natural_frequency(f: TemperatureSpringForcing,
                       p: FrictionParams | None = None) -> float:
     """Undamped oscillation rate sqrt(K/m) of the spring-mass system during
-    slips; without friction parameters the mass is taken as one."""
-    return math.sqrt(f.K / (1.0 if p is None else p.m))
+    slips; without friction parameters the mass is taken as one.  A rate
+    that K/m over- or underflows to inf or 0 raises ValueError."""
+    m = 1.0 if p is None else p.m
+    rate = math.sqrt(f.K / m)
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"the natural frequency sqrt(K/m) is out of range "
+                         f"at K = {f.K:g}, m = {m:g}")
+    return rate
 
 
 def horizon(t_end: float, T: Drive) -> float:
@@ -233,19 +239,13 @@ class EventKind(Enum):
 
 @dataclass(frozen=True)
 class Event:
-    """A phase-transition instant.
-
-    ``j`` counts stick/slip alternations; ``k`` indexes sub-phase boundaries
-    within dynamic phase j (None otherwise).  ``epsilon`` is the slip
-    direction sign(b) taken at the event, 0 for enter-static events.
-    """
+    """A phase-transition instant.  ``epsilon`` is the slip direction sign(b)
+    taken at the event, 0 for enter-static events."""
 
     time: float
     kind: EventKind
     position: float
     epsilon: int = 0
-    j: int = 0
-    k: int | None = None
 
 
 # --------------------------------------------------------------------------
@@ -277,17 +277,9 @@ class Trajectory:
         if n > 1 and np.any(np.diff(self.t) < 0):
             raise ValueError("sample times must be non-decreasing")
 
-    def __len__(self) -> int:
-        return len(self.t)
-
 
 class SolverCapError(RuntimeError):
-    """A solver exceeded its safety cap; ``partial`` holds the trajectory up
-    to that point when the solver could build one."""
-
-    def __init__(self, message: str, partial: Trajectory | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """A solver exceeded its safety cap, or its result is not finite."""
 
 
 # --------------------------------------------------------------------------

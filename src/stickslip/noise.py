@@ -12,9 +12,9 @@ one sampled-record type; a noise path becomes a drive's table as well.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
-from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -22,7 +22,6 @@ import numpy as np
 from .model import Drive
 
 __all__ = [
-    "OuPath",
     "ou_path",
     "perturbed_temperature",
     "load_temperature_series",
@@ -30,28 +29,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OuPath:
-    """Uniformly sampled noise path v_k at spacing dt."""
-
-    dt: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.values))
-
-
-def ou_path(n: int, dt: float, seed: int) -> OuPath:
-    """Generate an n-sample Ornstein-Uhlenbeck path from a seeded generator."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+def ou_path(n: int, dt: float, seed: int) -> Drive:
+    """Generate an n-sample Ornstein-Uhlenbeck path from a seeded generator,
+    as the table of a drive: the values v_k at the knots k*dt.  A table needs
+    two knots, so n >= 2, and the recursion is stable only for 0 < dt < 2."""
+    if n < 2:
+        raise ValueError(f"need at least two samples, got {n}")
+    if not 0 < dt < 2:
+        raise ValueError(f"the step must satisfy 0 < dt < 2, got {dt}")
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal(n - 1)
     decay, gain = 1.0 - dt, math.sqrt(dt)
@@ -60,10 +45,10 @@ def ou_path(n: int, dt: float, seed: int) -> OuPath:
     for xi_k in xi.tolist():
         v = decay * v + gain * xi_k
         values.append(v)
-    return OuPath(dt=dt, values=np.array(values))
+    return Drive(knots=dt * np.arange(n), values=np.array(values))
 
 
-def perturbed_temperature(Omega: float, rho: float, path: OuPath | None) -> Drive:
+def perturbed_temperature(Omega: float, rho: float, path: Drive | None) -> Drive:
     """The drive T(t) = cos(Omega*t) + rho * v(t), v the path interpolated.
 
     With rho = 0 the drive is cos(Omega*t) alone, defined for all t, and the
@@ -73,7 +58,7 @@ def perturbed_temperature(Omega: float, rho: float, path: OuPath | None) -> Driv
     wave = ((1.0, Omega, 0.0),)
     if rho == 0.0:
         return Drive(terms=wave)
-    return Drive(terms=wave, knots=path.times(), values=path.values, scale=rho)
+    return dataclasses.replace(path, terms=wave, scale=rho)
 
 
 class SeriesParseError(ValueError):

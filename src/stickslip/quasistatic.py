@@ -78,8 +78,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
     # cycle i: the stick at levels[i] ends at tau_half[i], and the slip lands
     # at levels[i + 1] at tau_next[i]
     tau_half, tau_next, levels = [], [], [x0]
-    events: list[Event] = []
-    events.append(Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x0, j=0))
+    events = [Event(time=0.0, kind=EventKind.ENTER_STATIC, position=x0)]
     t, x = 0.0, x0
     k = 0  # lattice index of the stick level x0 + k*dx
     open_end = False
@@ -97,7 +96,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
             reentry = next_departure(x, land, f, p.f_s, t_hi, reenter=True)
             land = min(max(land, reentry), t_hi)
         events.append(Event(time=depart, kind=EventKind.ENTER_DYNAMIC,
-                            position=x, epsilon=eps, j=len(tau_half)))
+                            position=x, epsilon=eps))
         tau_half.append(depart)
         tau_next.append(land)
         levels.append(x0 + k * dx)
@@ -105,7 +104,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
             open_end = True
             break
         events.append(Event(time=land, kind=EventKind.ENTER_STATIC,
-                            position=levels[-1], j=len(tau_half)))
+                            position=levels[-1]))
         t, x = land, levels[-1]
     else:
         raise SolverCapError(f"quasistatic run exceeded {_MAX_EVENTS} events "

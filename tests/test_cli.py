@@ -1,11 +1,17 @@
+import contextlib
 import filecmp
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stickslip import (PhaseLabel, SeriesParseError, Trajectory, cli, ou_path,
                        quasistatic, simulate_quasistatic)
@@ -251,6 +257,110 @@ class TestSimulateCommand:
         rc = main(["simulate", "--frobnicate", "1", "--t-end", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
+
+
+class TestNonFiniteSolution:
+    """A finite flag large enough to overflow the force gives a one-line
+    solver diagnostic and no file: never exit 0 with NaN or inf rows, and no
+    numpy warning."""
+
+    @pytest.mark.parametrize("args,t", [
+        (["--solver", "events", "--forcing", "thermal", "--K", "10"], "0"),
+        (["--solver", "quasistatic", "--forcing", "thermal", "--K", "10"], "0"),
+        (["--solver", "euler", "--forcing", "thermal", "--K", "10"], "0"),
+        (["--solver", "euler", "--forcing", "shaw", "--t-end", "10"], "2.67"),
+    ], ids=["events", "quasistatic", "euler", "euler-shaw"])
+    def test_overflow_is_a_solver_error(self, tmp_path, capsys, recwarn, args, t):
+        rc = run(tmp_path, "simulate", "--beta", "1e308", "--h", "0.01",
+                 "--t-end", "1", *args, "--out", tmp_path / "r")
+        assert rc == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            f"solver diagnostic: the solution is not finite from t = {t}; "
+            f"reduce --K, --beta or --x0\n")
+        assert len(recwarn) == 0
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNoiseStep:
+    """The noise recursion is stable only for 0 < dt < 2, and a noise table
+    needs two samples; each bound is a config error naming its flag."""
+
+    @pytest.mark.parametrize("args,err", [
+        (["ou-gen", "--n", "1000", "--dt", "2"],
+         "error: --dt: the step must satisfy 0 < dt < 2, got 2.0\n"),
+        (["ou-gen", "--n", "1000", "--dt", "1e300"],
+         "error: --dt: the step must satisfy 0 < dt < 2, got 1e+300\n"),
+        (["ou-gen", "--n", "1", "--dt", "0.01"],
+         "error: --n must be at least 2, got 1\n"),
+        (["simulate", "--rho", "1", "--ou-dt", "5", "--t-end", "20"],
+         "error: --ou-dt: the step must satisfy 0 < dt < 2, got 5.0\n"),
+        (["simulate", "--solver", "euler", "--h", "5", "--rho", "1",
+          "--t-end", "20"],
+         "error: --ou-dt (an Euler run takes --h as its default): the step "
+         "must satisfy 0 < dt < 2, got 5.0\n"),
+    ], ids=["ou-gen-2", "ou-gen-huge", "ou-gen-one", "simulate", "euler-default"])
+    def test_refused_naming_the_flag(self, tmp_path, capsys, args, err):
+        assert run(tmp_path, *args, "--out", tmp_path / "r") == EXIT_CONFIG
+        assert capsys.readouterr().err == err
+        assert list(tmp_path.iterdir()) == []
+
+
+_FLOATS = [1e-300, 1e-8, 0.0, -1.0, 0.5, 1.0, 6.0, 1e8, 1e300]
+_FLOAT_FLAGS = ["--m", "--fd", "--fs", "--alpha", "--beta", "--K", "--omega",
+                "--x0", "--rho", "--ou-dt"]
+
+
+@st.composite
+def _commands(draw):
+    """simulate or ou-gen argv with extreme but finite numbers."""
+    if draw(st.sampled_from(["simulate"] * 3 + ["ou-gen"])) == "ou-gen":
+        return ["ou-gen", "--n", draw(st.sampled_from([0, 1, 2, 1000, 10**12])),
+                "--dt", draw(st.sampled_from(_FLOATS))]
+    solver = draw(st.sampled_from(["events", "quasistatic", "euler"]))
+    argv = ["simulate", "--solver", solver,
+            "--forcing", draw(st.sampled_from(["shaw", "thermal"])),
+            "--t-end", draw(st.sampled_from([1e-300, 0.5, 5.0, 1e300]))]
+    if solver == "euler":
+        argv += ["--h", draw(st.sampled_from([1e-300, 1e-3, 0.1, 5.0]))]
+    for flag in _FLOAT_FLAGS:
+        value = draw(st.none() | st.sampled_from(_FLOATS))
+        if value is not None:
+            argv += [flag, value]
+    if draw(st.booleans()):
+        argv.append("--split-phases")
+    return argv
+
+
+class TestExitCodeContract:
+    """Every command ends in a documented exit code: 0 with finite files and
+    a silent stderr, or 2, 3 or 4 with one stderr line and no file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_commands())
+    def test_exit_code_contract(self, argv):
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp, \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            mp.setattr(cli, "MAX_SAMPLES", 20_000)  # every admitted run is small
+            warnings.simplefilter("always")
+            rc = main([str(a) for a in argv] + ["--out", str(Path(tmp) / "r")])
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            files = sorted(Path(tmp).iterdir())
+            assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_SOLVER)
+            if rc != EXIT_OK:
+                assert len(lines) == 1, lines
+                assert files == []
+                return
+            assert lines == []
+            assert files
+            for path in files:
+                for token in path.read_text().split():
+                    try:
+                        value = float(token)
+                    except ValueError:  # an event kind or a header word
+                        continue
+                    assert math.isfinite(value), (path.name, token)
 
 
 class TestOuGenCommand:
@@ -506,6 +616,22 @@ class TestBadNumbers:
         assert proc.returncode == EXIT_CONFIG
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert not (tmp_path / "r.txt").exists()
+
+
+    @pytest.mark.parametrize("solver,m,K", [
+        ("events", "1e-300", "1e300"), ("quasistatic", "1e300", "1e-300")],
+        ids=["overflow", "underflow"])
+    def test_natural_frequency_out_of_range(self, tmp_path, capsys, solver, m, K):
+        # K/m of inf or 0 used to divide by zero in the scan step or the
+        # half period: a traceback
+        rc = run(tmp_path, "simulate", "--solver", solver, "--forcing", "thermal",
+                 "--m", m, "--K", K, "--fd", "0", "--t-end", "1e-300",
+                 "--out", tmp_path / "r")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: the natural frequency sqrt(K/m) is out of range at "
+            f"K = {float(K):g}, m = {float(m):g}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOneRowRecord:

@@ -225,7 +225,7 @@ class TestSimulateEuler:
                               EulerConfig(h=0.01, n_steps=100))
         dec = simulate_euler(6.0, harmonic_forcing, harmonic_params,
                              EulerConfig(h=0.01, n_steps=100, record_every=10))
-        assert len(dec) == 11
+        assert len(dec.t) == 11
         assert np.array_equal(dec.x, full.x[::10])
 
     def test_config_validation(self):

@@ -12,8 +12,8 @@ from stickslip import (
     EventKind,
     FrictionParams,
     HarmonicForcing,
-    MaxSubphasesError,
     PhaseLabel,
+    SolverCapError,
     TemperatureSpringForcing,
     dynamic_subphase,
     eval_forcing,
@@ -533,10 +533,8 @@ class TestSimulateEvents:
         T = perturbed_temperature(0.25, 0.25, path)
         f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
-        with pytest.raises(MaxSubphasesError, match="exceeded 1 sub-phases") as err:
+        with pytest.raises(SolverCapError, match="exceeded 1 sub-phases"):
             simulate_events(6.0, f, p, 30.0)
-        assert err.value.partial is not None
-        assert len(err.value.partial) > 0
 
     def test_trajectory_validates(self, harmonic_forcing, harmonic_params):
         traj = simulate_events(6.0, harmonic_forcing, harmonic_params,

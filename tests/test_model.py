@@ -248,8 +248,8 @@ class TestStateAndEvents:
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.3))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.3)
         log = [
-            Event(0.0, EventKind.ENTER_STATIC, 0.0, j=0),
-            Event(1.0, EventKind.ENTER_DYNAMIC, 0.0, epsilon=1, j=0),
+            Event(0.0, EventKind.ENTER_STATIC, 0.0),
+            Event(1.0, EventKind.ENTER_DYNAMIC, 0.0, epsilon=1),
         ]
         validate_events(log, f, p, tol=1e-9)
 
@@ -257,8 +257,8 @@ class TestStateAndEvents:
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.0))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         log = [
-            Event(1.0, EventKind.ENTER_STATIC, 0.0, j=0),
-            Event(0.5, EventKind.ENTER_DYNAMIC, 0.0, epsilon=1, j=0),
+            Event(1.0, EventKind.ENTER_STATIC, 0.0),
+            Event(0.5, EventKind.ENTER_DYNAMIC, 0.0, epsilon=1),
         ]
         with pytest.raises(AssertionError):
             validate_events(log, f, p, tol=1e-9)
@@ -267,8 +267,8 @@ class TestStateAndEvents:
         f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.0))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         log = [
-            Event(0.0, EventKind.ENTER_STATIC, 0.0, j=0),
-            Event(1.0, EventKind.ENTER_STATIC, 0.0, j=1),
+            Event(0.0, EventKind.ENTER_STATIC, 0.0),
+            Event(1.0, EventKind.ENTER_STATIC, 0.0),
         ]
         with pytest.raises(AssertionError):
             validate_events(log, f, p, tol=1e-9)

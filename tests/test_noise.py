@@ -58,6 +58,8 @@ class TestOuPath:
         with pytest.raises(ValueError):
             ou_path(0, 0.01, 0)
         with pytest.raises(ValueError):
+            ou_path(1, 0.01, 0)
+        with pytest.raises(ValueError):
             ou_path(10, -1.0, 0)
 
 
@@ -83,8 +85,9 @@ class TestPerturbedTemperature:
         path = ou_path(3001, 0.01, 5)
         T = perturbed_temperature(0.25, 0.25, path)
         t = np.random.default_rng(1).uniform(0.0, T.t_max, 10_000)
-        t = np.concatenate((t, path.dt * np.arange(len(path.values)), [T.t_max]))
-        grid = t / path.dt
+        dt = path.knots[1]
+        t = np.concatenate((t, dt * np.arange(len(path.values)), [T.t_max]))
+        grid = t / dt
         i = np.clip(grid.astype(int), 0, len(path.values) - 2)
         frac = grid - i
         v0, v1 = path.values[i], path.values[i + 1]

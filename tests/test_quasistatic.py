@@ -48,9 +48,10 @@ def _ramp_forcing(rate=0.1, K=1.0, beta=1.0):
 
 def _first_cycle(traj):
     """The first stick-plus-slip cycle: (departure event, landing event)."""
-    dyn = [e for e in traj.events if e.kind == EventKind.ENTER_DYNAMIC][0]
-    stats = [e for e in traj.events if e.kind == EventKind.ENTER_STATIC and e.j == 1]
-    return dyn, (stats[0] if stats else None)
+    events = traj.events
+    first = next(i for i, e in enumerate(events) if e.kind == EventKind.ENTER_DYNAMIC)
+    land = next((e for e in events[first:] if e.kind == EventKind.ENTER_STATIC), None)
+    return events[first], land
 
 
 class TestQuasistaticStep:
