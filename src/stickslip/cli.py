@@ -433,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = _merge_config(argv)
         args = parser.parse_args(argv)
         _check_numbers(args)
+        if not args.out.parent.is_dir():  # checked before any work is done
+            raise ConfigError(f"--out {args.out}: {args.out.parent} is not "
+                              f"an existing directory")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -218,6 +218,9 @@ class _LinearSubphase:
         self.k_m = f.K / p.m
         self.delta2 = self.mu * self.mu - self.k_m
         self.w = math.sqrt(abs(self.delta2))
+        if self.w == math.inf:  # mu^2 overflowed, not the rate w itself
+            s = math.sqrt(self.k_m)
+            self.w = math.sqrt(abs(self.mu) - s) * math.sqrt(abs(self.mu) + s)
         self.breaks = f.T.knots
         # per cosine term (W, phi, resonant, X, Y): the steady response is
         # x_p = X cos(W t + phi) - Y sin(W t + phi), or the secular one with
@@ -232,14 +235,20 @@ class _LinearSubphase:
                 z = force / den
                 self.waves.append((w, ph, False, z.real, z.imag))
 
-    def _ch_sh(self, r: np.ndarray):
+    def _decayed_ch_sh(self, r: np.ndarray):
+        """(e^{mu r} ch(r), e^{mu r} sh(r)).  Overdamped, as e^{(mu + w) r}
+        (1 + e^{-2wr}) / 2 and e^{(mu + w) r} (1 - e^{-2wr}) / 2w: cosh and
+        sinh overflow past wr = 710, long before the motion does, and mu + w
+        = -(K/m)/(w - mu) is formed without the cancellation."""
+        if self.delta2 > 0.0:
+            slow = np.exp(-self.k_m / (self.w - self.mu) * r)
+            fast = np.expm1(-2.0 * self.w * r)  # e^{-2wr} - 1
+            return slow * (1.0 + 0.5 * fast), slow * (-0.5 / self.w * fast)
+        decay = np.exp(self.mu * r)
         if self.delta2 < 0.0:
             wr = self.w * r
-            return np.cos(wr), np.sin(wr) / self.w
-        if self.delta2 > 0.0:
-            wr = self.w * r
-            return np.cosh(wr), np.sinh(wr) / self.w
-        return np.ones_like(r), r
+            return decay * np.cos(wr), decay * (np.sin(wr) / self.w)
+        return decay, decay * r
 
     def _particular(self, edges: np.ndarray, r: np.ndarray):
         """(x, x') of the particular solution at the start and at the end of
@@ -282,9 +291,7 @@ class _LinearSubphase:
             ends, on_ts = points[order], order < len(ts)
         edges = np.concatenate(([t0], ends))
         r = np.diff(edges)
-        decay = np.exp(mu * r)
-        ch, sh = self._ch_sh(r)
-        ch, sh = decay * ch, decay * sh
+        ch, sh = self._decayed_ch_sh(r)
         e11, e12, e21, e22 = ch - mu * sh, sh, -self.k_m * sh, ch + mu * sh
         x0, v0, x1, v1 = self._particular(edges, r)
         return ends, on_ts, np.array([

@@ -20,7 +20,7 @@ from stickslip import (
     ou_path,
     simulate_quasistatic,
 )
-from stickslip.calibrate import PARAM_NAMES, _from_unit
+from stickslip.calibrate import PARAM_NAMES, _DE_POP_PER_DIM, _from_unit
 
 # the submodules, not the functions the package re-exports under their names
 calibrate_module = importlib.import_module("stickslip.calibrate")
@@ -30,8 +30,8 @@ DEMO_RECORD = Path(__file__).resolve().parent.parent / "data" / "demo_record.csv
 
 
 def _to_unit(params: FitParams, bounds: dict[str, tuple[float, float]]) -> np.ndarray:
-    """Inverse of :func:`stickslip.calibrate._from_unit`."""
-    lo_z, hi_z = bounds["z0"]
+    """Inverse of :func:`stickslip.calibrate._from_unit` on (K, beta, f_d,
+    f_s); z0 is profiled, not searched."""
     lo_K, hi_K = bounds["K"]
     lo_b, hi_b = bounds["beta"]
     lo_fd, hi_fd = bounds["f_d"]
@@ -40,7 +40,6 @@ def _to_unit(params: FitParams, bounds: dict[str, tuple[float, float]]) -> np.nd
     fs_lo = max(lo_fs, params.f_d)
     span = lambda v, lo, hi: 0.0 if hi == lo else (v - lo) / (hi - lo)
     return np.array([
-        span(params.z0, lo_z, hi_z),
         span(params.K, lo_K, hi_K),
         span(params.beta, lo_b, hi_b),
         span(params.f_d, lo_fd, fd_hi),
@@ -156,18 +155,18 @@ class TestObjective:
 
 
 class TestReparameterization:
-    @given(u=st.lists(st.floats(0, 1), min_size=5, max_size=5))
+    @given(u=st.lists(st.floats(0, 1), min_size=4, max_size=4))
     def test_maps_into_feasible_box(self, u):
-        params = _from_unit(np.array(u), BOUNDS)
-        for name, value in zip(PARAM_NAMES, params):
+        params = FitParams(0.0, *_from_unit(np.array(u), BOUNDS))
+        for name, value in zip(PARAM_NAMES[1:], params[1:]):
             lo, hi = BOUNDS[name]
             assert lo - 1e-12 <= value <= hi + 1e-12
         assert params.f_d <= params.f_s
 
-    @given(u=st.lists(st.floats(0.001, 0.999), min_size=5, max_size=5))
+    @given(u=st.lists(st.floats(0.001, 0.999), min_size=4, max_size=4))
     def test_bijective(self, u):
         u = np.array(u)
-        params = _from_unit(u, BOUNDS)
+        params = FitParams(0.0, *_from_unit(u, BOUNDS))
         back = _to_unit(params, BOUNDS)
         assert np.allclose(back, u, rtol=0, atol=1e-9)
 
@@ -175,17 +174,19 @@ class TestReparameterization:
 class TestCalibrate:
     def test_budget_minimum_returns_result(self):
         series, z = make_record(n=300)
+        minimum = _DE_POP_PER_DIM * 4  # the population over K, beta, f_d, f_s
         prob = CalibrationProblem(temps=series, displs=z, bounds=BOUNDS,
-                                  K_BP=K_BP, budget=75, seed=1)
+                                  K_BP=K_BP, budget=minimum, seed=1)
         res = calibrate(prob)
-        assert res.evaluations == 75
+        assert res.evaluations == minimum
         assert math.isfinite(res.residual)
-        assert len(res.history) == 75
+        assert len(res.history) == minimum
 
     def test_budget_below_minimum_rejected(self):
         series, z = make_record(n=300)
         prob = CalibrationProblem(temps=series, displs=z, bounds=BOUNDS,
-                                  K_BP=K_BP, budget=74, seed=1)
+                                  K_BP=K_BP, budget=_DE_POP_PER_DIM * 4 - 1,
+                                  seed=1)
         with pytest.raises(ValueError):
             calibrate(prob)
 
@@ -232,6 +233,55 @@ class TestCalibrate:
             got = getattr(res.params, name)
             want = getattr(TRUTH, name)
             assert abs(got - want) / want < 0.10
+
+
+class TestProfiledOffset:
+    """The DE searches (K, beta, f_d, f_s) and takes z0 at the clipped
+    closed-form minimum of the objective."""
+
+    def test_profiled_offset_minimizes_the_objective(self):
+        series, z = make_record(n=500, noise=0.01)
+        # uneven sample spacing, so the weighted and the plain mean differ
+        rng = np.random.default_rng(4)
+        uneven = Drive(knots=series.knots + 500.0 * rng.random(500),
+                       values=series.values)
+        prob = CalibrationProblem(temps=uneven, displs=z, bounds=BOUNDS,
+                                  K_BP=K_BP, budget=100, seed=0)
+        step = 1e-6 * float(np.ptp(z))
+        lo, hi = BOUNDS["z0"]
+        for u in rng.random((20, 4)):
+            z0, value = calibrate_module._profiled(u, prob)
+            params = FitParams(z0, *_from_unit(u, BOUNDS))
+            assert value == objective(params, prob)
+            for other in (z0 - step, z0 + step, lo, hi):
+                assert value <= objective(params._replace(z0=other), prob)
+
+    @pytest.mark.parametrize("shift, edge", [(1.0, 1), (-1.0, 0)])
+    def test_optimum_outside_the_box_takes_the_edge(self, shift, edge):
+        # every candidate's unconstrained z0 is near the shift, far outside
+        series, z = make_record(n=300)
+        prob = CalibrationProblem(temps=series, displs=z + shift, bounds=BOUNDS,
+                                  K_BP=K_BP, budget=120, seed=2)
+        res = calibrate(prob)
+        assert res.params.z0 == BOUNDS["z0"][edge]
+
+    def test_constant_temperature_recovers_the_offset(self):
+        times = 600.0 * np.arange(100)
+        series = Drive(knots=times, values=np.full(100, 12.0))
+        c = 0.0042
+        prob = CalibrationProblem(temps=series, displs=np.full(100, c),
+                                  bounds=BOUNDS, K_BP=K_BP, budget=120, seed=0)
+        res = calibrate(prob)
+        z_model = model_displacement(res.params, prob)
+        assert abs(res.params.z0 - (c - float(z_model[0]))) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_residual_is_the_objective_at_the_result(self, seed):
+        series, z = make_record(n=300, noise=0.01)
+        prob = CalibrationProblem(temps=series, displs=z, bounds=BOUNDS,
+                                  K_BP=K_BP, budget=300, seed=seed)
+        res = calibrate(prob)
+        assert res.residual == objective(res.params, prob)
 
 
 class TestProblemValidation:
@@ -321,8 +371,8 @@ class TestDemoRecordFit:
                                   budget=2000, seed=0)
         res = calibrate(prob)
         assert hashlib.sha256(res.history.tobytes()).hexdigest() == \
-            "e5ac5b72deaac4727e266b57d92eb7288a500cafd86d64f291a9c1798f119abd"
+            "36017cf92f37a15ddea7ffb294969d37ec813c8914fb1ccf95315194b029cf63"
         assert [repr(float(v)) for v in res.params] == [
-            "0.0009861840517112683", "2866164.5354181137", "7.80958306827876e-05",
-            "4789.5374607520935", "5916.727884670475"]
-        assert repr(res.residual) == "0.8467522255898379"
+            "0.0009442484051987764", "2984230.0873354366", "8.70589439605081e-05",
+            "7366.856295952741", "12285.484954867648"]
+        assert repr(res.residual) == "0.55289683511776"

@@ -305,6 +305,24 @@ class TestNoiseStep:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOutDirectory:
+    """An --out in a directory that does not exist is refused before any work,
+    with one stderr line naming the path."""
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "ou-gen"])
+    def test_missing_directory_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "r"
+        data = SRC.parent / "data"
+        argv = {"simulate": ["simulate", "--forcing", "shaw", "--t-end", "30"],
+                "calibrate": ["calibrate", "--data", data / "demo_record.csv",
+                              "--bounds", data / "demo_bounds.txt"],
+                "ou-gen": ["ou-gen", "--n", "10", "--dt", "0.1"]}[command]
+        assert run(tmp_path, *argv, "--out", out) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {out.parent} is not an existing directory\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 _FLOATS = [1e-300, 1e-8, 0.0, -1.0, 0.5, 1.0, 6.0, 1e8, 1e300]
 _FLOAT_FLAGS = ["--m", "--fd", "--fs", "--alpha", "--beta", "--K", "--omega",
                 "--x0", "--rho", "--ou-dt"]
@@ -789,5 +807,7 @@ class TestBenchmarkTracerHooks:
         layers = spans.layers()
         assert spans.calls["cli.parse"] == 2  # the record and the bounds
         assert layers["cli.parse_s"] > 0
-        assert layers["calibrate.objective_calls"] == 150
+        # the DE evaluates with z0 profiled out, through model_displacement
+        # and not objective: one stick-level run per evaluation
         assert layers["quasistatic.stick_levels_calls"] == 150
+        assert layers["calibrate.de_self_s"] > 0

@@ -514,6 +514,47 @@ class TestSimulateEvents:
             4.0, 0.25, harmonic_params)
         assert traj.events[2].time - traj.events[1].time > 2 * 2 * math.pi
 
+    def test_strongly_overdamped_slip_stays_finite(self, harmonic_params,
+                                                   tmp_path):
+        # alpha = 1e4: cosh(wr) and sinh(wr) overflow within one scan step
+        # (w r > 710), while the creep they describe is slow and finite
+        from scipy.integrate import solve_ivp
+        from stickslip.cli import main
+        out = tmp_path / "od"
+        assert main(["simulate", "--solver", "events", "--forcing", "shaw",
+                     "--alpha", "1e4", "--t-end", "30", "--out", str(out)]) == 0
+        rows = np.loadtxt(tmp_path / "od.txt")
+        assert len(rows) > 2 and np.all(np.isfinite(rows))
+
+        f = HarmonicForcing(beta=6.0, Omega=0.25, alpha=1e4)
+        traj = simulate_events(0.0, f, harmonic_params, 30.0)
+        assert (traj.events[0].time, traj.events[0].epsilon) == (0.0, 1)
+
+        def rhs(t, y):
+            return [y[1], 6.0 * math.cos(0.25 * t) - 2e4 * y[1] - y[0] - 1.0]
+
+        def v_zero(t, y):
+            return y[1]
+        v_zero.terminal, v_zero.direction = True, -1
+        sol = solve_ivp(rhs, [0.0, 30.0], [0.0, 1e-14], events=v_zero,
+                        method="Radau", rtol=1e-12, atol=1e-14)
+        assert traj.events[1].time == pytest.approx(sol.t_events[0][0], abs=1e-6)
+        assert traj.events[1].position == pytest.approx(sol.y_events[0][0][0],
+                                                        abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [1e160, 1e300])
+    def test_damping_whose_square_overflows_freezes_the_slip(self,
+                                                             harmonic_params,
+                                                             alpha):
+        # (c/2m)^2 overflows; the mass does not move, and the slip ends where
+        # the quasi-steady velocity (6 cos(t/4) - 6 + f_d)/c turns to zero
+        f = HarmonicForcing(beta=6.0, Omega=0.25, alpha=alpha)
+        traj = simulate_events(6.0, f, harmonic_params, 30.0)
+        assert np.all(traj.x == 6.0)
+        assert traj.events[2].kind == EventKind.ENTER_STATIC
+        assert traj.events[2].time == pytest.approx(
+            (2 * math.pi - math.acos(5 / 6)) / 0.25, abs=1e-6)
+
     def test_damped_harmonic_euler_convergence(self, harmonic_params):
         from stickslip import EulerConfig, simulate_euler
         f = HarmonicForcing(beta=6.0, Omega=0.25, alpha=0.05)
