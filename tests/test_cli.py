@@ -1,5 +1,6 @@
 import contextlib
 import filecmp
+import hashlib
 import io
 import math
 import os
@@ -176,6 +177,14 @@ class TestSimulateCommand:
             "error: --h 0.01 is longer than the run's horizon\n"
         assert not (tmp_path / "eu.txt").exists()
 
+    def test_euler_records_its_last_step(self, tmp_path):
+        # 10 steps of 0.1 at --record-every 4: rows at steps 0, 4, 8 and 10
+        rc = main(["simulate", "--solver", "euler", "--forcing", "shaw",
+                   "--beta", "6", "--x0", "6", "--h", "0.1", "--t-end", "1",
+                   "--record-every", "4", "--out", str(tmp_path / "eu")])
+        assert rc == EXIT_OK
+        assert np.loadtxt(tmp_path / "eu.txt")[:, 0].tolist() == [0.0, 0.4, 0.8, 1.0]
+
     def test_quasistatic_event_cap_is_solver_error(self, tmp_path, monkeypatch,
                                                    capsys):
         monkeypatch.setattr(quasistatic, "_MAX_EVENTS", 3)
@@ -257,6 +266,29 @@ class TestSimulateCommand:
         rc = main(["simulate", "--frobnicate", "1", "--t-end", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
+
+
+class TestEulerBytes:
+    """The files of two fine-step Euler runs as sha256 digests: any change in
+    the floating-point order of the stepper, the drive or the writers changes
+    them."""
+
+    SHAW = ["--forcing", "shaw", "--m", "1", "--fd", "1", "--fs", "1.2",
+            "--beta", "6", "--omega", "0.25", "--x0", "6"]
+    THERMAL = ["--forcing", "thermal", "--rho", "0.25", "--beta", "6", "--x0", "6"]
+
+    @pytest.mark.parametrize("flags,digests", [
+        (SHAW, ("f6e9e1daa7772b288e203d9d5116c5c172905b0ea318eca46c29f0c775083edc",
+                "5502d7a7651edbab8afb119d4dff1f2aeb95ebb3a18fbdf40afd0ef8ce7e1af2")),
+        (THERMAL, ("9d69a7703f7da8d2082021b84fad344f7f3aff6ff1aa90f74a1873ae8e6d87b5",
+                   "2ef21ea4d20dd66988f3c9521938f5ed00daedf92382995145f37012c796e04e")),
+    ], ids=["shaw", "thermal-noise"])
+    def test_files_are_bit_identical(self, tmp_path, flags, digests):
+        rc = main(["simulate", "--solver", "euler", "--h", "1e-3", *flags,
+                   "--t-end", "65", "--out", str(tmp_path / "eu")])
+        assert rc == EXIT_OK
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("eu.txt", "eu.events.txt")) == digests
 
 
 class TestNonFiniteSolution:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,15 +10,20 @@ from reference_checks import validate_events, validate_trajectory
 from stickslip import (
     Drive,
     EulerConfig,
+    Event,
     EventKind,
     FrictionParams,
     HarmonicForcing,
     PhaseLabel,
     TemperatureSpringForcing,
     eval_forcing,
+    friction_force,
+    ou_path,
+    perturbed_temperature,
     shrink,
     simulate_euler,
 )
+from stickslip.euler import _BLOCK
 
 
 def _soft_threshold(u, tau):
@@ -242,3 +248,110 @@ class TestSimulateEuler:
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         with pytest.raises(TemperatureDomainError):
             simulate_euler(6.0, f, p, EulerConfig(h=0.01, n_steps=500))
+
+
+# --------------------------------------------------------------------------
+# Block boundaries: the blocked stepper against a per-step reference loop
+# --------------------------------------------------------------------------
+
+_P = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+_H = 0.01
+_N_MAX = 2 * _BLOCK + 3
+
+
+def _table_drive():
+    rng = np.random.default_rng(7)
+    knots = np.linspace(0.0, (_N_MAX + 1) * _H, 301)
+    return Drive(knots=knots, values=np.cumsum(rng.standard_normal(301)) / 4)
+
+
+def _stick_at_block_start_drive():
+    """A bare table, zero but for two pulses, on which the body departs at
+    step k B - 1 and sticks again at step k B + 1, the first step of a
+    block (k = 1, 2)."""
+    values = np.zeros(_N_MAX + 1)
+    for start in (_BLOCK + 1, 2 * _BLOCK + 1):
+        values[start - 2] = 2.0   # |b| = 2 > f_s from rest: depart
+        values[start - 1] = -1.0  # pulls u back inside the gate: stick
+    return Drive(knots=np.arange(_N_MAX + 1) * _H, values=values)
+
+
+_DRIVES = {
+    "shaw": lambda: HarmonicForcing(beta=6.0, Omega=0.25),
+    "shaw-damped": lambda: HarmonicForcing(beta=6.0, Omega=0.25, alpha=0.05),
+    "table": lambda: TemperatureSpringForcing(K=1.0, beta=6.0, T=_table_drive()),
+    "ou-cosine": lambda: TemperatureSpringForcing(
+        K=1.0, beta=6.0,
+        T=perturbed_temperature(0.25, 0.25, ou_path(_N_MAX + 2, _H, 3))),
+    "stick-at-block-start": lambda: TemperatureSpringForcing(
+        K=1.0, beta=1.0, T=_stick_at_block_start_drive()),
+}
+_X0 = {"stick-at-block-start": 0.0}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(name):
+    """Every step of an _N_MAX-step run, one eval_forcing per step, with the
+    label-change events as (step, Event)."""
+    f, x0 = _DRIVES[name](), _X0.get(name, 6.0)
+    x, v = float(x0), 0.0
+    rows, events = [], []
+    for n in range(_N_MAX + 1):
+        if n:
+            v_new = _velocity_step(v, b, _P, _H)
+            x = x + _H * v
+            v = v_new
+        t = n * _H
+        b = eval_forcing(f, x, v, t)
+        static = v == 0.0 and abs(b) <= _P.f_s
+        if not rows or static != rows[-1][4]:
+            if static:
+                kind, eps = EventKind.ENTER_STATIC, 0
+            else:
+                kind = EventKind.ENTER_DYNAMIC
+                eps = int(math.copysign(1.0, b)) if b != 0.0 else 1
+            events.append((n, Event(time=t, kind=kind, position=x, epsilon=eps)))
+        rows.append((t, x, v, b, static))
+    return f, x0, rows, events
+
+
+def _assert_matches_reference(name, n_steps, every):
+    f, x0, rows, events = _reference(name)
+    traj = simulate_euler(x0, f, _P, EulerConfig(h=_H, n_steps=n_steps,
+                                                 record_every=every))
+    kept = [n for n in range(n_steps + 1) if n % every == 0 or n == n_steps]
+    t, x, v, b, static = (np.array(col) for col in zip(*(rows[n] for n in kept)))
+    phase = np.where(static, PhaseLabel.STATIC.value,
+                     PhaseLabel.DYNAMIC.value).astype(np.int8)
+    for got, want in [(traj.t, t), (traj.x, x), (traj.v, v), (traj.b, b),
+                      (traj.phase, phase),
+                      (traj.friction, friction_force(_P, v, b, phase))]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    want_events = [e for n, e in events if n <= n_steps]
+    assert len(traj.events) == len(want_events)
+    for got, want in zip(traj.events, want_events):
+        assert (got.time, got.kind, got.position, got.epsilon) == \
+            (want.time, want.kind, want.position, want.epsilon)
+
+
+class TestBlockBoundaries:
+    """The stepper runs in blocks of _BLOCK steps; its output must not depend
+    on where a block ends."""
+
+    @pytest.mark.parametrize("every", [1, 3, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _N_MAX])
+    @pytest.mark.parametrize("name", ["shaw", "shaw-damped", "table", "ou-cosine"])
+    def test_bit_identical_to_per_step_loop(self, name, n_steps, every):
+        _assert_matches_reference(name, n_steps, every)
+
+    def test_stick_starting_on_a_blocks_first_step(self):
+        _, _, _, events = _reference("stick-at-block-start")
+        assert [(n, e.kind) for n, e in events] == [
+            (0, EventKind.ENTER_STATIC),
+            (_BLOCK - 1, EventKind.ENTER_DYNAMIC),
+            (_BLOCK + 1, EventKind.ENTER_STATIC),
+            (2 * _BLOCK - 1, EventKind.ENTER_DYNAMIC),
+            (2 * _BLOCK + 1, EventKind.ENTER_STATIC)]
+        for every in (1, 3):
+            _assert_matches_reference("stick-at-block-start", _N_MAX, every)
