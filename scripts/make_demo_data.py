@@ -13,14 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stickslip import (
-    Drive,
-    FrictionParams,
-    TemperatureSpringForcing,
-    corrected_displacement,
-    ou_path,
-    simulate_quasistatic,
-)
+from stickslip import corrected_displacement, ou_path, stick_levels_on_grid
 
 TRUTH = dict(z0=0.001, K=2e6, beta=1e-4, f_d=5000.0, f_s=8000.0)
 K_BP = 5e6
@@ -38,12 +31,12 @@ def main(out_dir: Path) -> None:
     temps = 60 * np.sin(2 * np.pi * days / 18) + 8 * np.sin(2 * np.pi * days) \
         + 1.5 * np.asarray(ou.values)
 
-    forcing = TemperatureSpringForcing(K=TRUTH["K"], beta=TRUTH["beta"],
-                                       T=Drive(knots=times, values=temps))
-    params = FrictionParams(m=1.0, f_d=TRUTH["f_d"], f_s=TRUTH["f_s"])
-    traj = simulate_quasistatic(TRUTH["beta"] * temps[0], forcing, params,
-                                float(times[-1]), sample_times=times)
-    z = TRUTH["z0"] + corrected_displacement(traj.x, traj.friction, K_BP)
+    # the quasistatic stick levels at the samples, and their stick force
+    K, beta = TRUTH["K"], TRUTH["beta"]
+    levels = stick_levels_on_grid(temps, beta * temps[0], K, beta,
+                                  TRUTH["f_d"], TRUTH["f_s"])
+    friction = K * (beta * temps - levels)
+    z = TRUTH["z0"] + corrected_displacement(levels, friction, K_BP)
     rng = np.random.default_rng(NOISE_SEED)
     z_obs = z * (1.0 + 0.01 * rng.standard_normal(N))
 

@@ -82,7 +82,7 @@ class CalibrationProblem:
 
     def __post_init__(self):
         T = self.temps
-        if T.knots is None or T.offset or T.slope or T.terms or T.scale != 1.0:
+        if T.knots is None or T.terms or T.scale != 1.0:
             raise ValueError("the temperature record must be a drive with a "
                              "table and no other part")
         self.displs = np.asarray(self.displs, dtype=float)

@@ -209,13 +209,17 @@ def _noise_path(flag: str, n: int, dt: float, seed: int) -> Drive:
 
 
 def _merge_config(argv: list[str]) -> list[str]:
-    """Prepend key=value file entries as flags; explicit flags win."""
-    if "--config" not in argv:
-        return argv
+    """Prepend key=value file entries as flags; explicit flags win.  argparse
+    finds the path, so every spelling it accepts applies the file:
+    ``--config FILE``, ``--config=FILE`` or ``--conf FILE``."""
+    find = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    find.add_argument("--config", type=Path)
     try:
-        cfg_path = Path(argv[argv.index("--config") + 1])
-    except IndexError:
-        raise ConfigError("--config requires a file path")
+        cfg_path = find.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # no path: the full parser reports it
+        cfg_path = None
+    if cfg_path is None:
+        return argv
     if not cfg_path.exists():
         raise ConfigError(f"config file not found: {cfg_path}")
     extra: list[str] = []
@@ -362,6 +366,7 @@ def _load_bounds(path: Path) -> dict[str, tuple[float, float]]:
     if not path.exists():
         raise SeriesParseError(f"bounds file not found: {path}")
     bounds: dict[str, tuple[float, float]] = {}
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -373,6 +378,10 @@ def _load_bounds(path: Path) -> dict[str, tuple[float, float]]:
         if name not in PARAM_NAMES:
             raise SeriesParseError(
                 f"unknown parameter {name!r} (expected {PARAM_NAMES})", line_no)
+        if name in first_line:
+            raise SeriesParseError(f"{name!r} is bounded twice, first on line "
+                                   f"{first_line[name]}", line_no)
+        first_line[name] = line_no
         try:
             bounds[name] = (float(parts[1]), float(parts[2]))
         except ValueError:

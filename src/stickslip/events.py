@@ -254,9 +254,7 @@ class _LinearSubphase:
         """(x, x') of the particular solution at the start and at the end of
         each panel between consecutive ``edges``, r the panel widths."""
         f, T = self.f, self.f.T
-        start = edges[:-1]
-        level = T.offset + T.slope * start
-        rate = np.full(len(r), T.slope)
+        level, rate = np.zeros(len(r)), np.zeros(len(r))
         if T.knots is not None:
             table = T.scale * np.interp(edges, T.knots, T.values)
             level = level + table[:-1]

@@ -13,10 +13,10 @@ one forcing, a damped spring pulled toward a temperature-driven target,
 
     b(x, x', t) = K * (beta*T(t) - x) - c * x',
 
-with the structured drive T(t) = offset + slope*t + sum_i a_i cos(Omega_i t +
-phi_i) + scale * L(t), L piecewise linear.  The bearing's thermal dilatation
-is K, beta and a sampled or noisy T with c = 0; Shaw's harmonic benchmark is
-K = 1, c = 2*alpha and T = cos(Omega t).
+with the structured drive T(t) = sum_i a_i cos(Omega_i t + phi_i) + scale *
+L(t), L piecewise linear.  The bearing's thermal dilatation is K, beta and a
+sampled or noisy T with c = 0; Shaw's harmonic benchmark is K = 1, c =
+2*alpha and T = cos(Omega t).
 """
 
 from __future__ import annotations
@@ -87,12 +87,13 @@ def _require_finite(what: str, *values: float) -> None:
 
 @dataclass(frozen=True)
 class Drive:
-    """Temperature T(t) = offset + slope*t + sum_i a_i cos(Omega_i t + phi_i)
-    + scale * L(t).
+    """Temperature T(t) = sum_i a_i cos(Omega_i t + phi_i) + scale * L(t).
 
-    ``terms`` holds the (a_i, Omega_i, phi_i).  L interpolates the table
-    (``knots``, ``values``) linearly -- a sampled record or a noise path -- and
-    is zero without one.  The table is the one sampled-record type: equal-length
+    ``terms`` holds the (a_i, Omega_i, phi_i); a constant a is the
+    zero-frequency term (a, 0, 0), which evaluates to a exactly.  L
+    interpolates the table (``knots``, ``values``) linearly -- a sampled
+    record or a noise path -- and is zero without one; a ramp is a table of
+    two knots.  The table is the one sampled-record type: equal-length
     1-D arrays, at least two knots, all finite, knots strictly increasing.  T
     is defined on [knots[0], knots[-1]], or for all t without a table;
     elsewhere it raises :class:`TemperatureDomainError`.
@@ -100,8 +101,6 @@ class Drive:
     part's bits.
     """
 
-    offset: float = 0.0
-    slope: float = 0.0
     terms: tuple[tuple[float, float, float], ...] = ()
     knots: np.ndarray | None = None
     values: np.ndarray | None = None
@@ -110,7 +109,7 @@ class Drive:
     def __post_init__(self):
         terms = tuple((float(a), float(w), float(ph)) for a, w, ph in self.terms)
         object.__setattr__(self, "terms", terms)
-        _require_finite("drive parameters", self.offset, self.slope, self.scale,
+        _require_finite("drive parameters", self.scale,
                         *(v for term in terms for v in term))
         if (self.knots is None) != (self.values is None):
             raise ValueError("a drive table needs both knots and values")
@@ -138,12 +137,10 @@ class Drive:
         """T at time(s) ``t``: a float for a number, an array for an array."""
         scalar = isinstance(t, (float, int))  # numbers skip numpy's dispatch
         if scalar:
-            value, cos = self.offset, math.cos
+            value, cos = 0.0, math.cos
         else:
             t = np.asarray(t, dtype=float)
-            value, cos = np.full(t.shape, self.offset), np.cos
-        if self.slope:
-            value = value + self.slope * t
+            value, cos = np.zeros(t.shape), np.cos
         for a, w, ph in self.terms:
             value = value + a * cos(w * t + ph)
         if self.knots is None:
@@ -286,27 +283,23 @@ class SolverCapError(RuntimeError):
 # Friction law
 # --------------------------------------------------------------------------
 
-def friction_force(p: FrictionParams, v, b, phase):
-    """Friction force transmitted at a sample, or element by element at
-    arrays of samples.
+def friction_force(p: FrictionParams, v: np.ndarray, b: np.ndarray,
+                   phase: np.ndarray) -> np.ndarray:
+    """Friction force transmitted at each sample, element by element.
 
-    ``phase`` is a :class:`PhaseLabel` for every sample, or an array of
-    PhaseLabel values (the int8 ``Trajectory.phase`` column).  Stick: the
-    equilibrium value b; a static sample with v != 0 raises ValueError.
+    ``v``, ``b`` and ``phase`` are arrays of one shape: the velocities, the
+    applied forces and the PhaseLabel values of the samples, as in the int8
+    ``Trajectory.phase`` column.  Stick: the equilibrium value b; a static
+    sample with v != 0 raises ValueError.
     Slip with v != 0: sign(v) * f_d.  At an isolated zero-velocity instant
     inside a slip the force is only defined almost everywhere; report
     clamp(b, -f_d, f_d), which is bounded and keeps the record physically
     plausible.  With f_d = f_s this is the subdifferential law of f|x'| on
-    the samples; with f_d < f_s it is Shaw's two-coefficient law.  Scalar
-    input gives a float.
+    the samples; with f_d < f_s it is Shaw's two-coefficient law.
     """
-    code = phase.value if isinstance(phase, PhaseLabel) else np.asarray(phase)
-    static = code == PhaseLabel.STATIC.value
-    v = np.asarray(v, dtype=float)
-    b = np.asarray(b, dtype=float)
+    static = phase == PhaseLabel.STATIC.value
     if np.any(static & (v != 0.0)):
         raise ValueError("static phase requires v = 0")
-    out = np.where(static, b,
-                   np.where(v != 0.0, np.copysign(p.f_d, v),
-                            np.clip(b, -p.f_d, p.f_d)))
-    return float(out) if out.ndim == 0 else out
+    return np.where(static, b,
+                    np.where(v != 0.0, np.copysign(p.f_d, v),
+                             np.clip(b, -p.f_d, p.f_d)))

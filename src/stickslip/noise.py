@@ -13,7 +13,6 @@ one sampled-record type; a noise path becomes a drive's table as well.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 from typing import TextIO
 
@@ -114,9 +113,8 @@ def _parse_columns(stream: TextIO, n_cols: int) -> list[np.ndarray]:
     return [np.array(col) for col in zip(*rows)]
 
 
-def load_temperature_series(source: TextIO | str) -> Drive:
-    """Read a (time, temperature) record from a character stream or string
-    (see :func:`_parse_columns`) into the table of a drive."""
-    stream = io.StringIO(source) if isinstance(source, str) else source
+def load_temperature_series(stream: TextIO) -> Drive:
+    """Read a (time, temperature) record from a character stream (see
+    :func:`_parse_columns`) into the table of a drive."""
     knots, values = _parse_columns(stream, 2)
     return Drive(knots=knots, values=values)

@@ -48,24 +48,23 @@ _MAX_EVENTS = 200_000  # events one run may emit before it is refused
 # --------------------------------------------------------------------------
 
 def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
-                         t_end: float, sample_times: np.ndarray | None = None
-                         ) -> Trajectory:
+                         t_end: float) -> Trajectory:
     """Iterate quasistatic cycles and emit the staircase trajectory.
 
     Each stick ends, and each equal-threshold slip re-enters the window, where
     the event engine's :func:`next_departure` finds it, so on the same input
-    both engines find the same first departure.  The displacement is piecewise constant at the stick levels x0 + k*dx,
-    dx = 2(f_s - f_d)/K, the same lattice :func:`stick_levels_on_grid` reads
-    at the sample times; each slip is
+    both engines find the same first departure.  The displacement is
+    piecewise constant at the stick levels x0 + k*dx, dx = 2(f_s - f_d)/K,
+    the lattice :func:`stick_levels_on_grid` also reads; each slip is
     rendered as the half-cosine arc between consecutive levels so the record
     stays continuous.  With f_s = f_d consecutive zero-displacement slips are
     collapsed into one dynamic span lasting until the temperature re-enters
     the admissible window (the level never moves).
 
-    ``sample_times`` overrides the output grid (values must lie in
-    [0, t_end]); the events are unaffected by sampling.  More than
-    ``_MAX_EVENTS`` events raise :class:`SolverCapError`, and a damped forcing
-    (c != 0) raises ValueError.
+    The output grid holds the stick endpoints and a short arc per slip; the
+    levels at a record's own sample times are :func:`stick_levels_on_grid`.
+    More than ``_MAX_EVENTS`` events raise :class:`SolverCapError`, and a
+    damped forcing (c != 0) raises ValueError.
     """
     if f.c != 0.0:
         raise ValueError("quasistatic model requires an undamped forcing (c = 0): "
@@ -111,10 +110,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
                              f"at t={t}")
 
     tau_half, tau_next = np.array(tau_half), np.array(tau_next)
-    if sample_times is None:
-        sample_times = _default_grid(tau_half, tau_next, t_hi)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
+    sample_times = _default_grid(tau_half, tau_next, t_hi)
 
     x_arr, v_arr, ph_arr = _evaluate(tau_half, tau_next, np.array(levels),
                                      half_period, sample_times, open_end)
@@ -252,10 +248,11 @@ def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
                          ) -> np.ndarray:
     """Quasistatic stick level at each sample of a piecewise-linear record.
 
-    Equivalent to running :func:`simulate_quasistatic` on the sampled series
-    and reading the displacement at the sample times (slip arcs last half a
-    natural period, far below any realistic acquisition cadence, so samples
-    land on stick levels).  This is the calibration objective's hot path.
+    The levels :func:`simulate_quasistatic` holds on the record's drive, at
+    the sample times: slip arcs last half a natural period, far below any
+    realistic acquisition cadence, so samples land on stick levels, where the
+    friction is the stick force K*(beta*T - level).  This is the calibration
+    objective's hot path.
 
     Every level is x0 + k*dx with dx = 2(f_s - f_d)/K, and each sample moves
     the index k the least that brings |beta*T - level| within f_s/K: the

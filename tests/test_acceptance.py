@@ -38,6 +38,7 @@ from stickslip import (
     simulate_euler,
     simulate_events,
     simulate_quasistatic,
+    stick_levels_on_grid,
 )
 from stickslip.cli import main as cli_main
 
@@ -176,7 +177,7 @@ def test_criterion_04_euler_event_convergence():
 # --------------------------------------------------------------------------
 
 def test_criterion_05_constant_temperature_closed_form():
-    f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
+    f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(terms=((1.0, 0.0, 0.0),)))
     p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
     sub = dynamic_subphase(-0.5, 0.0, 1, f, p, 10.0)
     x_star = 1.0 - 0.5  # beta*T - eps*f_d/K
@@ -196,7 +197,9 @@ def test_criterion_05_constant_temperature_closed_form():
 # --------------------------------------------------------------------------
 
 def test_criterion_06_quasistatic_identities():
-    ramp = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(slope=0.1))
+    # T = 0.1 t as a two-knot table over the run
+    ramp = TemperatureSpringForcing(
+        K=1.0, beta=1.0, T=Drive(knots=[0.0, 50.0], values=[0.0, 5.0]))
     p = FrictionParams(m=1.0, f_d=0.5, f_s=1.0)
     traj = simulate_quasistatic(0.0, ramp, p, 50.0)
     events = list(traj.events)
@@ -291,12 +294,12 @@ def test_criterion_09_calibration_round_trip():
     temps = 60 * np.sin(2 * np.pi * days / 18) + 8 * np.sin(2 * np.pi * days) \
         + 1.5 * np.asarray(ou_path(n, 600 / 86400.0, 20250810).values)
     series = Drive(knots=times, values=temps)
-    f = TemperatureSpringForcing(K=truth.K, beta=truth.beta, T=series)
-    p = FrictionParams(m=1.0, f_d=truth.f_d, f_s=truth.f_s)
-    traj = simulate_quasistatic(truth.beta * temps[0], f, p, float(times[-1]),
-                                sample_times=times)
+    # the quasistatic stick levels at the samples, and their stick force
+    levels = stick_levels_on_grid(temps, truth.beta * temps[0], truth.K,
+                                  truth.beta, truth.f_d, truth.f_s)
+    friction = truth.K * (truth.beta * temps - levels)
     rng = np.random.default_rng(99)
-    z_obs = (truth.z0 + corrected_displacement(traj.x, traj.friction, k_bp)) \
+    z_obs = (truth.z0 + corrected_displacement(levels, friction, k_bp)) \
         * (1.0 + 0.01 * rng.standard_normal(n))
     z_range = float(z_obs.max() - z_obs.min())
 

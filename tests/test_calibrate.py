@@ -11,14 +11,12 @@ from stickslip import (
     CalibrationProblem,
     FitParams,
     Drive,
-    FrictionParams,
-    TemperatureSpringForcing,
     calibrate,
     corrected_displacement,
     model_displacement,
     objective,
     ou_path,
-    simulate_quasistatic,
+    stick_levels_on_grid,
 )
 from stickslip.calibrate import PARAM_NAMES, _DE_POP_PER_DIM, _from_unit
 
@@ -55,17 +53,18 @@ K_BP = 5e6
 
 def make_record(n=4000, seed=11, noise=0.0, noise_seed=99,
                 truth=TRUTH, k_bp=K_BP):
-    """Synthetic displacement/temperature record from the staircase model."""
+    """Synthetic displacement/temperature record from the staircase model:
+    the stick levels at the samples, shear-corrected by the stick force."""
     times = 600.0 * np.arange(n)
     days = times / 86400.0
     temps = 60 * np.sin(2 * np.pi * days / 18) + 8 * np.sin(2 * np.pi * days) \
         + 1.5 * np.asarray(ou_path(n, 600 / 86400.0, seed).values)
     series = Drive(knots=times, values=temps)
-    f = TemperatureSpringForcing(K=truth.K, beta=truth.beta, T=series)
-    p = FrictionParams(m=1.0, f_d=truth.f_d, f_s=truth.f_s)
     x0 = truth.beta * temps[0]
-    traj = simulate_quasistatic(x0, f, p, float(times[-1]), sample_times=times)
-    z = truth.z0 + corrected_displacement(traj.x, traj.friction, k_bp)
+    levels = stick_levels_on_grid(temps, x0, truth.K, truth.beta, truth.f_d,
+                                  truth.f_s)
+    friction = truth.K * (truth.beta * temps - levels)
+    z = truth.z0 + corrected_displacement(levels, friction, k_bp)
     if noise:
         rng = np.random.default_rng(noise_seed)
         z = z * (1.0 + noise * rng.standard_normal(n))
@@ -322,13 +321,13 @@ class TestProblemValidation:
             CalibrationProblem(temps=series, displs=displs, bounds=BOUNDS)
 
     @pytest.mark.parametrize("extra", [
-        dict(offset=1.0), dict(slope=0.5), dict(terms=((1.0, 0.25, 0.0),)),
-        dict(scale=2.0), None])
+        dict(terms=((1.0, 0.0, 0.0),)), dict(scale=-1.0),
+        dict(terms=((1.0, 0.25, 0.0),)), dict(scale=2.0), None])
     def test_record_is_a_bare_table(self, extra):
         # the objective reads only the table's values: any other part of the
         # drive, or no table at all, would be silently ignored
         T = Drive(**extra, knots=np.arange(5.0), values=np.zeros(5)) \
-            if extra is not None else Drive(offset=1.0)
+            if extra is not None else Drive(terms=((1.0, 0.0, 0.0),))
         with pytest.raises(ValueError, match="table"):
             CalibrationProblem(temps=T, displs=np.zeros(5), bounds=BOUNDS)
 
@@ -339,6 +338,7 @@ class TestProblemValidation:
         assert prob.dt_weights() is prob.dt_weights()
 
     def test_monotone_runs_are_computed_once(self, monkeypatch):
+        series, z = make_record(n=300)
         built = []
         original = quasistatic_module.monotone_runs
 
@@ -348,7 +348,6 @@ class TestProblemValidation:
 
         monkeypatch.setattr(quasistatic_module, "monotone_runs", counting)
         monkeypatch.setattr(calibrate_module, "monotone_runs", counting)
-        series, z = make_record(n=300)
         prob = CalibrationProblem(temps=series, displs=z, bounds=BOUNDS,
                                   K_BP=K_BP)
         assert built == [300]

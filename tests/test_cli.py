@@ -262,6 +262,21 @@ class TestSimulateCommand:
         data = np.loadtxt(out.with_suffix(".txt"))
         assert data[-1, 0] <= 3.0  # flag overrode the config value
 
+    @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]],
+                             ids=["equals", "abbreviated"])
+    def test_every_config_spelling_applies_the_file(self, tmp_path, spelling):
+        # an Euler run of 5 s at h = 0.01 writes 501 rows; the default events
+        # solver on thermal forcing would write 52
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("solver = euler\nh = 0.01\nforcing = shaw\nt_end = 5\n")
+        flags = [part.format(cfg) for part in spelling]
+        for name, extra in (("given", ["--config", str(cfg)]), ("spelt", flags)):
+            rc = main(["simulate", *extra, "--out", str(tmp_path / name)])
+            assert rc == EXIT_OK
+        assert len((tmp_path / "given.txt").read_text().splitlines()) == 501
+        assert (tmp_path / "spelt.txt").read_bytes() == \
+            (tmp_path / "given.txt").read_bytes()
+
     def test_unknown_flag(self, tmp_path):
         rc = main(["simulate", "--frobnicate", "1", "--t-end", "1",
                    "--out", str(tmp_path / "x")])
@@ -289,6 +304,49 @@ class TestEulerBytes:
         assert rc == EXIT_OK
         assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                      for name in ("eu.txt", "eu.events.txt")) == digests
+
+
+class TestSolverBytes:
+    """The files of quasistatic and event runs as sha256 digests, where no
+    benchmark pins them: noisy thermal forcing, and the demo record's
+    temperature column as --temps.  Any change in the floating-point order of
+    the drive, the departure search, the sub-phase propagator or the writers
+    changes them."""
+
+    THERMAL = ["--forcing", "thermal", "--K", "1.0", "--beta", "6.0", "--fd",
+               "1.0", "--fs", "1.2", "--x0", "6.0", "--omega", "0.25", "--rho",
+               "0.25", "--seed", "0", "--t-end", "300.0"]
+    RECORD = ["--temps", "{temps}", "--K", "2e6", "--beta", "1e-4", "--fd",
+              "5000", "--fs", "8000"]
+
+    @pytest.mark.parametrize("flags,digests", [
+        (["--solver", "quasistatic", *THERMAL],
+         ("612caf2de3c550ab07f82ad3a9026aa4e22099fbacdd76e20ff3859f08ec380b",
+          "455a435054c63c9fd0a673ea3e5c981d51e0ef02f1dbd8e080ef72c5e07e16a6")),
+        (["--solver", "events", *THERMAL],
+         ("4b0adc4e2c4c72e7d2bcd66f86c0e00c176aed4b6ae0931ab61e1fa09d46a15f",
+          "005971771152d4ee19fe4b386a44107791d2a338fbe2bd85266f7c0c9ba61a9a")),
+        (["--solver", "quasistatic", *RECORD, "--x0", "0", "--t-end", "1e9"],
+         ("f280be86305d518f0ad1f8a7f18c49bd90948abbb9c7ce206c5cde1ba342e023",
+          "26038534ea977153695f3672f7044f8a65073d1a4adc631f45591070e75d332b")),
+        # the event engine's stick rows follow its scan step, so the run is
+        # short; x0 sits just inside the window, so one slip falls in it
+        (["--solver", "events", *RECORD, "--x0", "-0.00399995", "--t-end", "2"],
+         ("0b4e90b533c2d8f95b33522688d0376b6256f95cc4c736d48b61b2d5498704c6",
+          "c7478835b739d2531a400910c8fbd85d696e66facf9176dcfa1e9ceca26a3bf3")),
+    ], ids=["quasistatic-noisy", "events-noisy", "quasistatic-record",
+            "events-record"])
+    def test_files_are_bit_identical(self, tmp_path, flags, digests):
+        record = SRC.parent / "data" / "demo_record.csv"
+        temps = tmp_path / "temps.csv"  # its (time, temperature) columns
+        temps.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                 for line in record.read_text().splitlines()
+                                 if not line.startswith("#")))
+        flags = [flag.format(temps=temps) for flag in flags]
+        rc = main(["simulate", *flags, "--out", str(tmp_path / "run")])
+        assert rc == EXIT_OK
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("run.txt", "run.events.txt")) == digests
 
 
 class TestNonFiniteSolution:
@@ -430,19 +488,16 @@ class TestOuGenCommand:
 
 
 def _write_record(tmp_path, n=900, noise_seed=5):
-    from stickslip import (Drive, FrictionParams,
-                           TemperatureSpringForcing, corrected_displacement,
-                           simulate_quasistatic)
+    from stickslip import corrected_displacement, stick_levels_on_grid
     times = 600.0 * np.arange(n)
     days = times / 86400.0
     temps = 60 * np.sin(2 * np.pi * days / 4) + 5 * np.sin(2 * np.pi * days)
-    f = TemperatureSpringForcing(K=2e6, beta=1e-4,
-                                 T=Drive(knots=times, values=temps))
-    p = FrictionParams(m=1.0, f_d=5000.0, f_s=8000.0)
-    traj = simulate_quasistatic(1e-4 * temps[0], f, p, float(times[-1]),
-                                sample_times=times)
+    # the quasistatic stick levels at the samples, and their stick force
+    levels = stick_levels_on_grid(temps, 1e-4 * temps[0], 2e6, 1e-4, 5000.0,
+                                  8000.0)
+    friction = 2e6 * (1e-4 * temps - levels)
     rng = np.random.default_rng(noise_seed)
-    z = (0.001 + corrected_displacement(traj.x, traj.friction, 5e6)) \
+    z = (0.001 + corrected_displacement(levels, friction, 5e6)) \
         * (1 + 0.01 * rng.standard_normal(n))
     data = tmp_path / "record.csv"
     with open(data, "w") as fh:
@@ -540,6 +595,19 @@ class TestCalibrateCommand:
         rc = main(["calibrate", "--data", str(data), "--bounds", str(bad),
                    "--budget", "150", "--out", str(tmp_path / "x")])
         assert rc == EXIT_DATA
+
+    def test_parameter_bounded_twice_names_the_second_line(self, tmp_path,
+                                                            capsys):
+        data, _ = _write_record(tmp_path)
+        twice = tmp_path / "twice.txt"
+        twice.write_text("z0 -0.05 0.05\nK 2e5 8e6\nbeta 2e-5 5e-4\n"
+                         "f_d 1e3 2e4\nf_s 2e3 3e4\nK 1 2\n")
+        rc = main(["calibrate", "--data", str(data), "--bounds", str(twice),
+                   "--budget", "150", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: line 6: 'K' is bounded twice, first on line 2\n")
+        assert not (tmp_path / "x.fit.txt").exists()
 
     def test_budget_below_minimum_is_config_error(self, tmp_path):
         data, bounds = _write_record(tmp_path)

@@ -81,7 +81,7 @@ class TestShrink:
 def _const_forcing(b_value):
     """Forcing with b identically b_value at x = 0 (K=1, beta=b_value, T=1)."""
     return TemperatureSpringForcing(K=1.0, beta=float(b_value),
-                                    T=Drive(offset=1.0))
+                                    T=Drive(terms=((1.0, 0.0, 0.0),)))
 
 
 def _one_step(x0, b_value, p, h):
@@ -154,7 +154,8 @@ class TestEulerSteps:
 
 class TestSimulateEuler:
     def test_static_forever(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.5))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((0.5, 0.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         traj = simulate_euler(0.0, f, p, EulerConfig(h=0.01, n_steps=1000))
         assert np.all(traj.x == 0.0)
@@ -214,7 +215,8 @@ class TestSimulateEuler:
     def test_convergence_on_constant_forcing_slip(self):
         # slip phase with closed form x(t) = x* + (x0 - x*) cos t,
         # x* = beta*T - eps*f_d/K; error halves when h halves
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((1.0, 0.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.2)
         x0 = -0.5
         errs = []

@@ -77,12 +77,15 @@ def _fig_oracle():
 
 class TestNextDeparture:
     def test_linear_ramp(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(slope=0.1))
+        # T = 0.1 t as a two-knot table over the run
+        f = TemperatureSpringForcing(
+            K=1.0, beta=1.0, T=Drive(knots=[0.0, 50.0], values=[0.0, 5.0]))
         t = next_departure(0.0, 0.0, f, 1.0, 50.0)
         assert t == pytest.approx(10.0, abs=1e-6)
 
     def test_static_forever(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.5))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((0.5, 0.0, 0.0),)))
         assert math.isinf(next_departure(0.0, 0.0, f, 1.2, 100.0))
 
     def test_harmonic_closed_form(self, harmonic_forcing):
@@ -121,7 +124,8 @@ class TestDynamicSubphase:
         self.t_end = 50.0
 
     def test_constant_temperature_closed_form(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((1.0, 0.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
         sub = dynamic_subphase(-0.5, 0.0, 1, f, p, self.t_end)
         assert sub.tau_next == pytest.approx(math.pi, abs=1e-9)
@@ -131,13 +135,14 @@ class TestDynamicSubphase:
         assert np.max(np.abs(sub.path_x - closed)) < 1e-8
 
     def test_equal_coefficients_return_to_start(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((1.0, 0.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=1.5, f_s=1.5)
         sub = dynamic_subphase(-0.5, 0.0, 1, f, p, self.t_end)
         assert sub.x_next == pytest.approx(-0.5, abs=1e-8)
 
     def test_free_oscillator_half_period(self):
-        f = TemperatureSpringForcing(K=1.0, beta=0.0, T=Drive(offset=0.0))
+        f = TemperatureSpringForcing(K=1.0, beta=0.0, T=Drive())
         p = FrictionParams(m=1.0, f_d=0.0, f_s=0.0)
         sub = dynamic_subphase(1.0, 0.0, -1, f, p, self.t_end)
         assert sub.tau_next == pytest.approx(math.pi, abs=1e-9)
@@ -159,7 +164,8 @@ class TestDynamicSubphase:
             assert abs(s_h.x_next - s_t.x_next) < 1e-12
 
     def test_scaled_stiffness_half_period(self):
-        f = TemperatureSpringForcing(K=4.0, beta=1.0, T=Drive(offset=1.0))
+        f = TemperatureSpringForcing(K=4.0, beta=1.0,
+                                     T=Drive(terms=((1.0, 0.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=2.0)
         sub = dynamic_subphase(0.0, 0.0, 1, f, p, self.t_end)
         assert sub.tau_next == pytest.approx(math.pi / 2.0, abs=1e-9)
@@ -188,7 +194,8 @@ class TestDynamicSubphase:
         assert sub.x_next == pytest.approx(x2_oracle, abs=1e-5)
 
     def test_horizon_truncation(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((1.0, 0.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
         sub = dynamic_subphase(-0.5, 0.0, 1, f, p, 1.0)
         assert sub.truncated
@@ -256,12 +263,13 @@ class TestDynamicSubphase:
         assert np.max(np.abs(sub.path_v - sol.sol(sub.path_t)[1])) < 1e-6
 
     def test_every_drive_part_against_adaptive_integration(self):
-        # offset, slope, two cosine terms and a scaled table at once, damped:
-        # each part's closed-form particular solution, summed per panel
+        # a constant (the zero-frequency term), two cosine terms and a scaled
+        # table that carries the ramp 0.05 t, damped: each part's closed-form
+        # particular solution, summed per panel
         knots = np.linspace(0.0, 20.0, 41)
         values = np.sin(1.3 * knots) ** 2
-        T = Drive(offset=0.5, slope=0.05, terms=((1.0, 0.7, 0.3), (0.4, 1.9, -1.0)),
-                  knots=knots, values=values, scale=0.8)
+        T = Drive(terms=((0.5, 0.0, 0.0), (1.0, 0.7, 0.3), (0.4, 1.9, -1.0)),
+                  knots=knots, values=values + 0.0625 * knots, scale=0.8)
         f = TemperatureSpringForcing(K=2.0, beta=1.5, T=T, c=0.3)
         p = FrictionParams(m=1.3, f_d=0.4, f_s=0.6)
 
@@ -323,7 +331,7 @@ class TestDynamicSubphase:
         # from any start with |b| > f_d the slip lasts pi*sqrt(m/K) and lands
         # mirrored about the shifted equilibrium x* = beta*T - eps*f_d/K
         f = TemperatureSpringForcing(K=K, beta=1.0,
-                                     T=Drive(offset=target))
+                                     T=Drive(terms=((target, 0.0, 0.0),)))
         p = FrictionParams(m=m, f_d=f_d, f_s=f_d + gap)
         eps = sign
         x0 = target - eps * (f_d + offset) / K  # b(x0) = eps*(f_d + offset)
@@ -356,7 +364,8 @@ class TestDynamicSubphase:
 
 class TestSimulateEvents:
     def test_static_forever_log(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.5))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((0.5, 0.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         traj = simulate_events(0.0, f, p, 50.0)
         assert len(traj.events) == 1
@@ -387,7 +396,8 @@ class TestSimulateEvents:
         validate_events(traj.events, harmonic_forcing, harmonic_params, tol=1e-5)
 
     def test_starts_dynamic_when_threshold_exceeded(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=2.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((2.0, 0.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
         traj = simulate_events(0.0, f, p, 10.0)
         assert traj.events[0].kind == EventKind.ENTER_DYNAMIC
@@ -396,7 +406,7 @@ class TestSimulateEvents:
     def test_exact_boundary_start(self):
         # |b(x0, 0)| = f_s exactly: static with immediate departure
         f = TemperatureSpringForcing(K=1.0, beta=1.0,
-                                     T=Drive(offset=1.5, slope=0.1))
+                                     T=Drive(knots=[0.0, 5.0], values=[1.5, 2.0]))
         p = FrictionParams(m=1.0, f_d=0.5, f_s=1.5)
         traj = simulate_events(0.0, f, p, 5.0)
         kinds = [e.kind for e in traj.events]

@@ -35,7 +35,8 @@ class TestFrictionParams:
 
 class TestEvalForcing:
     def test_temperature_spring_direct(self):
-        f = TemperatureSpringForcing(K=1.0, beta=6.0, T=Drive(offset=1.0))
+        f = TemperatureSpringForcing(K=1.0, beta=6.0,
+                                     T=Drive(terms=((1.0, 0.0, 0.0),)))
         assert eval_forcing(f, 0.0, 0.0, 0.0) == 6.0
 
     def test_harmonic_at_start(self):
@@ -63,7 +64,7 @@ class TestEvalForcing:
     def test_affine_in_x_exact(self, x, k, kk):
         # dyadic inputs make the affine identity b(x+d) - b(x) = -K d exact
         f = TemperatureSpringForcing(K=float(kk), beta=2.0,
-                                     T=Drive(offset=3.0))
+                                     T=Drive(terms=((3.0, 0.0, 0.0),)))
         delta = math.ldexp(1.0, k)
         lhs = eval_forcing(f, x + delta, 0.0, 0.0) - eval_forcing(f, x, 0.0, 0.0)
         assert lhs == -kk * delta
@@ -71,9 +72,20 @@ class TestEvalForcing:
     @given(x=st.floats(-1e3, 1e3), delta=st.floats(-10, 10),
            K=st.floats(0.01, 1e3))
     def test_affine_in_x(self, x, delta, K):
-        f = TemperatureSpringForcing(K=K, beta=1.0, T=Drive(offset=0.5))
+        f = TemperatureSpringForcing(K=K, beta=1.0,
+                                     T=Drive(terms=((0.5, 0.0, 0.0),)))
         lhs = eval_forcing(f, x + delta, 0.0, 1.0) - eval_forcing(f, x, 0.0, 1.0)
         assert lhs == pytest.approx(-K * delta, rel=1e-9, abs=1e-9)
+
+
+S, D = PhaseLabel.STATIC.value, PhaseLabel.DYNAMIC.value
+
+
+def _friction(p, v, b, phase):
+    """friction_force at the samples (v, b) of one phase label, as arrays."""
+    v = np.array(v, dtype=float)
+    return friction_force(p, v, np.array(b, dtype=float),
+                          np.full(v.shape, phase, dtype=np.int8))
 
 
 class TestFrictionForce:
@@ -81,20 +93,18 @@ class TestFrictionForce:
         self.p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
 
     def test_static_equilibrium(self):
-        assert friction_force(self.p, 0.0, 0.9, PhaseLabel.STATIC) == 0.9
+        assert _friction(self.p, [0.0], [0.9], S).tolist() == [0.9]
 
     def test_static_requires_rest(self):
         with pytest.raises(ValueError):
-            friction_force(self.p, 0.1, 0.9, PhaseLabel.STATIC)
+            _friction(self.p, [0.1], [0.9], S)
 
     def test_dynamic_sign_law(self):
-        assert friction_force(self.p, -2.0, 0.0, PhaseLabel.DYNAMIC) == -1.0
-        assert friction_force(self.p, 3.0, -5.0, PhaseLabel.DYNAMIC) == 1.0
+        assert _friction(self.p, [-2.0, 3.0], [0.0, -5.0], D).tolist() == [-1.0, 1.0]
 
     def test_isolated_zero_clamps(self):
-        assert friction_force(self.p, 0.0, 3.0, PhaseLabel.DYNAMIC) == 1.0
-        assert friction_force(self.p, 0.0, -3.0, PhaseLabel.DYNAMIC) == -1.0
-        assert friction_force(self.p, 0.0, 0.4, PhaseLabel.DYNAMIC) == 0.4
+        assert _friction(self.p, [0.0, 0.0, 0.0], [3.0, -3.0, 0.4],
+                         D).tolist() == [1.0, -1.0, 0.4]
 
     def test_isolated_zero_value_outside_vi(self):
         # at a stuck step (v'=0) the discrete VI residual involves only
@@ -110,8 +120,7 @@ class TestFrictionForce:
             assert np.all(res <= 1e-15)  # residual independent of the report
 
     def test_arrays_match_the_scalar_cases(self):
-        # the scalar cases above, as one array call per phase and one mixed
-        S, D = PhaseLabel.STATIC.value, PhaseLabel.DYNAMIC.value
+        # the cases above, as one mixed call and one call per phase
         cases = [(0.0, 0.9, S, 0.9), (-2.0, 0.0, D, -1.0), (3.0, -5.0, D, 1.0),
                  (0.0, 3.0, D, 1.0), (0.0, -3.0, D, -1.0), (0.0, 0.4, D, 0.4)]
         v, b, phase, expect = (np.array(col) for col in zip(*cases))
@@ -119,29 +128,24 @@ class TestFrictionForce:
         assert isinstance(out, np.ndarray)
         assert np.array_equal(out, expect)
         dyn = phase == D
-        assert np.array_equal(
-            friction_force(self.p, v[dyn], b[dyn], PhaseLabel.DYNAMIC), expect[dyn])
-        assert np.array_equal(
-            friction_force(self.p, np.zeros(2), np.array([0.9, -1.1]),
-                           PhaseLabel.STATIC), [0.9, -1.1])
-        assert type(friction_force(self.p, 0.0, 3.0, PhaseLabel.DYNAMIC)) is float
+        assert np.array_equal(_friction(self.p, v[dyn], b[dyn], D), expect[dyn])
+        assert np.array_equal(_friction(self.p, np.zeros(2), [0.9, -1.1], S),
+                              [0.9, -1.1])
 
     def test_arrays_reject_any_moving_static_sample(self):
-        S, D = PhaseLabel.STATIC.value, PhaseLabel.DYNAMIC.value
         phase = np.array([S, D, S], dtype=np.int8)
         with pytest.raises(ValueError, match="static phase requires v = 0"):
             friction_force(self.p, np.array([0.0, 1.0, 0.1]),
                            np.array([0.9, 0.9, 0.9]), phase)
         with pytest.raises(ValueError, match="static phase requires v = 0"):
-            friction_force(self.p, np.array([0.0, 0.1]), np.array([0.9, 0.9]),
-                           PhaseLabel.STATIC)
+            _friction(self.p, [0.0, 0.1], [0.9, 0.9], S)
 
     @given(v=st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6,
                        max_value=1e6),
            b=st.floats(-1e3, 1e3))
     def test_magnitude_bounds(self, v, b):
         p = FrictionParams(m=1.0, f_d=0.7, f_s=1.1)
-        out = friction_force(p, v, b, PhaseLabel.DYNAMIC)
+        [out] = _friction(p, [v], [b], D).tolist()
         if v != 0:
             assert out == math.copysign(0.7, v)
         else:
@@ -197,10 +201,11 @@ class TestDrive:
     KNOTS, VALUES = np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0, -2.0])
 
     def test_every_part(self):
-        T = Drive(offset=0.5, slope=0.25, terms=((2.0, 1.5, 0.3), (0.5, 4.0, 0.0)),
+        # a constant is the zero-frequency term
+        T = Drive(terms=((0.5, 0.0, 0.0), (2.0, 1.5, 0.3), (0.5, 4.0, 0.0)),
                   knots=self.KNOTS, values=self.VALUES, scale=0.5)
         ts = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
-        expect = 0.5 + 0.25 * ts + 2.0 * np.cos(1.5 * ts + 0.3) \
+        expect = 0.5 + 2.0 * np.cos(1.5 * ts + 0.3) \
             + 0.5 * np.cos(4.0 * ts) + 0.5 * np.interp(ts, self.KNOTS, self.VALUES)
         np.testing.assert_allclose(T.at(ts), expect, rtol=0, atol=1e-14)
         for t, e in zip(ts.tolist(), expect.tolist()):
@@ -216,6 +221,11 @@ class TestDrive:
         ts = np.linspace(0.0, 3.0, 31)
         T = Drive(knots=self.KNOTS, values=self.VALUES)
         assert np.array_equal(T.at(ts), np.interp(ts, self.KNOTS, self.VALUES))
+        # the zero-frequency term is the constant, bit for bit
+        for a in (0.5, -1.3, 1e-300, 6.02e23):
+            T = Drive(terms=((a, 0.0, 0.0),))
+            assert all(T.at(t) == a for t in ts.tolist())
+            assert np.all(T.at(ts) == a)
 
     def test_harmonic_is_the_spring_law(self):
         f = HarmonicForcing(beta=6.0, Omega=0.25, alpha=0.3)
@@ -224,8 +234,8 @@ class TestDrive:
         assert eval_forcing(f, 2.0, 0.5, 0.0) == pytest.approx(6.0 - 0.3 - 2.0)
 
     @pytest.mark.parametrize("make", [
-        lambda: Drive(offset=math.nan),
-        lambda: Drive(slope=math.inf),
+        lambda: Drive(terms=((math.nan, 0.0, 0.0),)),
+        lambda: Drive(terms=((1.0, 1.0, math.inf),)),
         lambda: Drive(terms=((1.0, math.nan, 0.0),)),
         lambda: Drive(terms=((math.inf, 1.0, 0.0),)),
         lambda: Drive(knots=[0.0, math.inf], values=[0.0, 1.0]),
@@ -245,7 +255,8 @@ class TestDrive:
 
 class TestStateAndEvents:
     def test_event_log_validate(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=1.3))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0,
+                                     T=Drive(terms=((1.3, 0.0, 0.0),)))
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.3)
         log = [
             Event(0.0, EventKind.ENTER_STATIC, 0.0),
@@ -254,7 +265,7 @@ class TestStateAndEvents:
         validate_events(log, f, p, tol=1e-9)
 
     def test_event_log_rejects_unsorted(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive())
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         log = [
             Event(1.0, EventKind.ENTER_STATIC, 0.0),
@@ -264,7 +275,7 @@ class TestStateAndEvents:
             validate_events(log, f, p, tol=1e-9)
 
     def test_event_log_rejects_nonalternating(self):
-        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive(offset=0.0))
+        f = TemperatureSpringForcing(K=1.0, beta=1.0, T=Drive())
         p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
         log = [
             Event(0.0, EventKind.ENTER_STATIC, 0.0),

@@ -114,55 +114,60 @@ class TestPerturbedTemperature:
         assert logs[0] != logs[1]
 
 
+def _load(text: str) -> Drive:
+    """load_temperature_series on a record given as text."""
+    return load_temperature_series(io.StringIO(text))
+
+
 class TestLoadTemperatureSeries:
     def test_basic_csv(self):
-        s = load_temperature_series("0,10.0\n600,10.5\n")
+        s = _load("0,10.0\n600,10.5\n")
         assert len(s.knots) == 2
         assert s.at(300.0) == 10.25
 
     def test_whitespace_and_comments(self):
-        s = load_temperature_series("# header comment\n0 10.0\n600 10.5  # eol\n")
+        s = _load("# header comment\n0 10.0\n600 10.5  # eol\n")
         assert len(s.knots) == 2
 
     def test_header_row_skipped(self):
-        s = load_temperature_series("time,temp\n0,10.0\n600,10.5\n")
+        s = _load("time,temp\n0,10.0\n600,10.5\n")
         assert len(s.knots) == 2
 
     def test_unsorted_times_name_line(self):
         with pytest.raises(SeriesParseError) as err:
-            load_temperature_series("0,10.0\n600,10.5\n300,10.2\n")
+            _load("0,10.0\n600,10.5\n300,10.2\n")
         assert err.value.line_no == 3
 
     def test_non_numeric_field_names_line(self):
         with pytest.raises(SeriesParseError) as err:
-            load_temperature_series("0,10.0\n600,oops\n")
+            _load("0,10.0\n600,oops\n")
         assert err.value.line_no == 2
 
     def test_wrong_column_count(self):
         with pytest.raises(SeriesParseError) as err:
-            load_temperature_series("0,10.0\n600\n")
+            _load("0,10.0\n600\n")
         assert err.value.line_no == 2
 
     def test_empty_input(self):
         with pytest.raises(SeriesParseError) as err:
-            load_temperature_series("# nothing\n")
+            _load("# nothing\n")
         assert err.value.line_no is None  # a fault of the whole file
         assert str(err.value) == "no data rows"
 
     @pytest.mark.parametrize("text", ["0,10.0\n", "t,T\n0,10.0\n"])
     def test_one_row_is_too_few(self, text):
         with pytest.raises(SeriesParseError) as err:
-            load_temperature_series(text)
+            _load(text)
         assert err.value.line_no is None
         assert str(err.value) == "fewer than two data rows"
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_field_names_line(self, bad):
         with pytest.raises(SeriesParseError) as err:
-            load_temperature_series(f"0,10.0\n600,{bad}\n1200,10.2\n")
+            _load(f"0,10.0\n600,{bad}\n1200,10.2\n")
         assert err.value.line_no == 2
         with pytest.raises(SeriesParseError) as err:
-            load_temperature_series(f"0,10.0\n{bad},10.5\n")
+            _load(f"0,10.0\n{bad},10.5\n")
         assert err.value.line_no == 2
 
     def test_non_finite_column_names_line(self):
