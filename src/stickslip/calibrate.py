@@ -3,8 +3,8 @@
 Fits (z0, K, beta, f_d, f_s) by least squares: the quasistatic model is run
 on the measured temperature record, the modeled displacement is corrected
 for elastic bearing shear (z = x + F/K_BP with known bearing stiffness
-K_BP), and the squared mismatch against the measured displacement is
-integrated over the record,
+K_BP; a rigid bearing is K_BP = inf), and the squared mismatch against the
+measured displacement is integrated over the record,
 
     err = sum_i (z0 + z_model(t_i) - z_obs(t_i))^2 * dt_i.
 
@@ -62,9 +62,9 @@ class CalibrationProblem:
 
     ``temps`` is the temperature record as the table of a drive with no
     other part; ``displs`` holds the displacement at each of its knots.
-    ``bounds`` maps each of ``PARAM_NAMES`` to (lo, hi).  ``shear_force``
-    selects the bearing correction: "friction" uses the transmitted friction
-    force (the applied force during sticks), "zero" disables the correction.
+    ``bounds`` maps each of ``PARAM_NAMES`` to (lo, hi).  ``K_BP`` is the
+    bearing's shear stiffness, which the transmitted friction force deforms;
+    ``math.inf`` models a rigid bearing, whose shear is zero.
     """
 
     temps: Drive
@@ -73,7 +73,6 @@ class CalibrationProblem:
     K_BP: float = 2.0e6
     budget: int = 20_000
     seed: int = 0
-    shear_force: str = "friction"
     _weights: np.ndarray = field(init=False, repr=False)
     _runs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     # sum w_i and sum w_i z_obs_i, the record's part of the profiled z0
@@ -95,8 +94,6 @@ class CalibrationProblem:
             raise ValueError("displacements must be finite")
         if self.K_BP <= 0:
             raise ValueError("K_BP must be positive")
-        if self.shear_force not in ("friction", "zero"):
-            raise ValueError(f"unknown shear_force mode {self.shear_force!r}")
         missing = [k for k in PARAM_NAMES if k not in self.bounds]
         if missing:
             raise ValueError(f"missing bounds for {missing}")
@@ -141,7 +138,9 @@ def corrected_displacement(x, friction_force, K_BP: float):
 
 def model_displacement(params: FitParams, prob: CalibrationProblem) -> np.ndarray:
     """Quasistatic model displacement (shear-corrected, without z0 offset)
-    at the problem's sample times.
+    at the problem's sample times: the stick levels plus the stick force over
+    ``prob.K_BP``.  At K_BP = inf that term is zero and the displacement is
+    the bare staircase of levels.
 
     The model starts at the zero-spring-force level x(0) = beta*T(0), so the
     run begins stuck; the z0 offset absorbs the resulting anchor.
@@ -150,8 +149,6 @@ def model_displacement(params: FitParams, prob: CalibrationProblem) -> np.ndarra
     temps = prob.temps.values
     x0 = beta * temps[0]
     levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s, prob._runs)
-    if prob.shear_force == "zero":
-        return levels
     stick_force = K * (beta * temps - levels)
     return corrected_displacement(levels, stick_force, prob.K_BP)
 

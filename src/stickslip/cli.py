@@ -20,18 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import (
-    PARAM_NAMES,
-    CalibrationProblem,
-    FitParams,
-    calibrate,
-)
+from .calibrate import PARAM_NAMES, CalibrationProblem, calibrate
 from .euler import EulerConfig, simulate_euler
 from .events import _scan_step, simulate_events
 from .model import (
     Drive,
     FrictionParams,
-    HarmonicForcing,
     PhaseLabel,
     SolverCapError,
     TemperatureSpringForcing,
@@ -58,6 +52,13 @@ _LEAST = {"restarts": 1, "record_every": 1, "n": 2}
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors as one-line config errors; subparsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _write_rows(fh, columns: np.ndarray) -> None:
@@ -117,7 +118,7 @@ def write_split_segments(prefix: Path, traj: Trajectory,
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stickslip",
         description="Stick/slip friction oscillator simulation and calibration",
     )
@@ -127,14 +128,18 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", type=Path, help="key=value defaults file")
     sim.add_argument("--solver", choices=("euler", "events", "quasistatic"),
                      default="events")
-    sim.add_argument("--forcing", choices=("shaw", "thermal"), default="thermal")
+    sim.add_argument("--forcing", choices=("shaw", "thermal"), default="thermal",
+                     help="the drive T: the cosine alone (shaw), or the --temps "
+                          "record or the cosine plus --rho noise (thermal)")
     sim.add_argument("--m", type=float, default=1.0)
     sim.add_argument("--fd", type=float, default=1.0)
     sim.add_argument("--fs", type=float, default=1.2)
-    sim.add_argument("--alpha", type=float, default=0.0)
+    sim.add_argument("--alpha", type=float, default=0.0,
+                     help="viscous damping c = 2*alpha, for either drive")
     sim.add_argument("--beta", type=float, default=6.0,
-                     help="forcing amplitude (shaw) or dilatation (thermal)")
-    sim.add_argument("--K", type=float, default=1.0, help="spring stiffness (thermal)")
+                     help="dilatation: the spring pulls toward beta*T")
+    sim.add_argument("--K", type=float, default=1.0,
+                     help="spring stiffness, for either drive")
     sim.add_argument("--omega", type=float, default=0.25,
                      help="forcing angular frequency")
     sim.add_argument("--x0", type=float, default=0.0)
@@ -146,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="noise path spacing (default: h for euler, else 0.01)")
     sim.add_argument("--temps", type=Path,
                      help="sampled temperature file (time, temperature)")
-    sim.add_argument("--record-every", type=int, default=1)
+    sim.add_argument("--record-every", type=int, default=1,
+                     help="record every n-th step (--solver euler only)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", type=Path, required=True)
     sim.add_argument("--split-phases", action="store_true")
@@ -164,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--kbp", type=float, default=2.0e6,
                      help="bearing-point shear stiffness")
     cal.add_argument("--shear-force", choices=("friction", "zero"),
-                     default="friction")
+                     default="friction", help="zero: a rigid bearing, K_BP = inf")
     cal.add_argument("--out", type=Path, required=True)
     cal.add_argument("--header", action="store_true")
 
@@ -212,12 +218,9 @@ def _merge_config(argv: list[str]) -> list[str]:
     """Prepend key=value file entries as flags; explicit flags win.  argparse
     finds the path, so every spelling it accepts applies the file:
     ``--config FILE``, ``--config=FILE`` or ``--conf FILE``."""
-    find = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    find = _Parser(add_help=False)
     find.add_argument("--config", type=Path)
-    try:
-        cfg_path = find.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:  # no path: the full parser reports it
-        cfg_path = None
+    cfg_path = find.parse_known_args(argv)[0].config
     if cfg_path is None:
         return argv
     if not cfg_path.exists():
@@ -246,7 +249,12 @@ def _merge_config(argv: list[str]) -> list[str]:
 # Commands
 # --------------------------------------------------------------------------
 
-def _build_thermal_forcing(args) -> TemperatureSpringForcing:
+def _drive(args) -> Drive:
+    """The temperature drive: the --temps record, or cos(omega t) + rho v(t)
+    with v a noise path; ``--forcing shaw`` is the cosine alone."""
+    if args.forcing == "shaw" and (args.temps is not None or args.rho != 0.0):
+        raise ConfigError("--forcing shaw is the cosine drive alone: it takes "
+                          "no --temps and no --rho")
     if args.temps is not None:
         if not args.temps.exists():
             raise SeriesParseError(f"temperature file not found: {args.temps}")
@@ -255,7 +263,7 @@ def _build_thermal_forcing(args) -> TemperatureSpringForcing:
         if T.knots[0] > 0:
             raise SeriesParseError(f"{args.temps}: the record starts at "
                                    f"t = {T.knots[0]:g}, after t = 0")
-        return TemperatureSpringForcing(K=args.K, beta=args.beta, T=T)
+        return T
     path = None  # at rho = 0 the drive reads no noise
     if args.rho != 0.0:
         ou_dt, flag = args.ou_dt, "--ou-dt"
@@ -265,23 +273,19 @@ def _build_thermal_forcing(args) -> TemperatureSpringForcing:
         _check_size("--t-end and --ou-dt", args.t_end / ou_dt + 2, "noise samples")
         n = int(math.ceil(args.t_end / ou_dt)) + 2
         path = _noise_path(flag, n, ou_dt, args.seed)
-    return TemperatureSpringForcing(
-        K=args.K, beta=args.beta,
-        T=perturbed_temperature(args.omega, args.rho, path))
+    return perturbed_temperature(args.omega, args.rho, path)
 
 
-def _check_scan(forcing: TemperatureSpringForcing, p: FrictionParams | None,
-                t_end: float) -> None:
+def _check_scan(forcing: TemperatureSpringForcing, p: FrictionParams,
+                t_end: float, stick_rows: bool) -> None:
     """Reject a run whose scan grid has more than MAX_SAMPLES points: the
-    stick rows of the event engine when ``p`` is given, and the departure grid
-    of a drive that is not a bare table (a table alone is scanned at its
-    knots)."""
-    steps = [_scan_step(forcing, p)] if p is not None else []
-    if forcing.T.terms or forcing.T.knots is None:
-        steps.append(_scan_step(forcing, None))
-    if steps:
+    event engine's stick rows, or the departure grid of a drive that is not a
+    bare table (a table alone is scanned at its knots).  Both step by
+    :func:`_scan_step` at the run's mass."""
+    if stick_rows or forcing.T.terms or forcing.T.knots is None:
         _check_size("--t-end, --m, --K and --omega",
-                    horizon(t_end, forcing.T) / min(steps), "scan steps")
+                    horizon(t_end, forcing.T) / _scan_step(forcing, p),
+                    "scan steps")
 
 
 def _check_finite(traj: Trajectory) -> None:
@@ -299,14 +303,12 @@ def _check_finite(traj: Trajectory) -> None:
 
 
 def run_simulate(args) -> int:
+    if args.solver != "euler" and args.record_every != 1:
+        raise ConfigError(f"--record-every applies to --solver euler only, "
+                          f"got {args.record_every} with --solver {args.solver}")
     p = FrictionParams(m=args.m, f_d=args.fd, f_s=args.fs)
-    if args.forcing == "shaw":
-        if args.solver == "quasistatic":
-            raise ConfigError("quasistatic solver requires thermal forcing")
-        forcing = HarmonicForcing(beta=args.beta, Omega=args.omega,
-                                  alpha=args.alpha)
-    else:
-        forcing = _build_thermal_forcing(args)
+    forcing = TemperatureSpringForcing(K=args.K, beta=args.beta, T=_drive(args),
+                                       c=2.0 * args.alpha)
 
     # an overflowing force is refused after the solve, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,10 +328,10 @@ def run_simulate(args) -> int:
                               record_every=args.record_every)
             traj = simulate_euler(args.x0, forcing, p, cfg)
         elif args.solver == "events":
-            _check_scan(forcing, p, args.t_end)
+            _check_scan(forcing, p, args.t_end, stick_rows=True)
             traj = simulate_events(args.x0, forcing, p, args.t_end)
         else:
-            _check_scan(forcing, None, args.t_end)
+            _check_scan(forcing, p, args.t_end, stick_rows=False)
             traj = simulate_quasistatic(args.x0, forcing, p, args.t_end)
     _check_finite(traj)
 
@@ -394,12 +396,12 @@ def run_calibrate(args) -> int:
     bounds = _load_bounds(args.bounds)
     out: Path = args.out
 
+    K_BP = math.inf if args.shear_force == "zero" else args.kbp
     results = []
     for r in range(args.restarts):
         prob = CalibrationProblem(temps=temps, displs=displs, bounds=bounds,
-                                  K_BP=args.kbp, budget=args.budget,
-                                  seed=args.seed + r,
-                                  shear_force=args.shear_force)
+                                  K_BP=K_BP, budget=args.budget,
+                                  seed=args.seed + r)
         results.append(calibrate(prob))
 
     with open(out.with_name(out.name + ".fit.txt"), "w") as fh:

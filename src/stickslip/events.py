@@ -67,12 +67,12 @@ class SubphaseResult:
     truncated: bool = False
 
 
-def _scan_step(f: TemperatureSpringForcing, p: FrictionParams | None) -> float:
+def _scan_step(f: TemperatureSpringForcing, p: FrictionParams) -> float:
     """Event-scan step: 1/64 of the fastest relevant period, that of the slip
-    oscillation or of the drive's fastest cosine term, so brief threshold
-    crossings are not stepped over.  It sets where roots are bracketed, not
-    the accuracy of the motion.  Without friction parameters (pure departure
-    searches) the natural period is taken at unit mass.
+    oscillation at the run's mass or of the drive's fastest cosine term, so
+    brief threshold crossings are not stepped over.  It sets where roots are
+    bracketed, not the accuracy of the motion.  The one grid of a run: the
+    departure search, the stick rows and the sub-phases all step by it.
     """
     fastest = max([natural_frequency(f, p), *(abs(w) for _, w, _ in f.T.terms)])
     return (2.0 * math.pi / fastest) / 64.0
@@ -83,18 +83,20 @@ def _scan_step(f: TemperatureSpringForcing, p: FrictionParams | None) -> float:
 # --------------------------------------------------------------------------
 
 def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
-                   f_s: float, t_end: float, reenter: bool = False) -> float:
-    """First t >= tau_j with |b(x_j, t)| > f_s, or +inf if none before the horizon.
+                   p: FrictionParams, t_end: float, reenter: bool = False) -> float:
+    """First t >= tau_j with |b(x_j, t)| > p.f_s, or +inf if none before the
+    horizon.
 
-    With ``reenter`` it is the first t >= tau_j with |b(x_j, t)| <= f_s
+    With ``reenter`` it is the first t >= tau_j with |b(x_j, t)| <= p.f_s
     instead.  The search scans a grid in chunks and stops at the first chunk
     that holds a hit.  A drive with a table and no cosine terms is linear
     between its knots, so the grid is the knots and the root is the linear
     crossing of the window edge |beta*T - x_j| = f_s/K: exact on the
     interpolant, also where one segment jumps across the whole window.  Any
-    other drive is scanned with step :func:`_scan_step` and at its knots,
-    where a noise path may leave the window and return within one step, and
-    the crossing is refined by :func:`_illinois` to ``_ROOT_TOL``.
+    other drive is scanned with step :func:`_scan_step` at the run's mass,
+    the grid of the stick rows and the sub-phases, and at its knots, where a
+    noise path may leave the window and return within one step; the crossing
+    is refined by :func:`_illinois` to ``_ROOT_TOL``.
     """
     t_hi = horizon(t_end, f.T)
     if tau_j >= t_hi:
@@ -106,9 +108,9 @@ def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
         first = int(np.searchsorted(knots, tau_j, side="right"))
         grid = lambda c: knots[first + c * _SCAN_CHUNK:first + (c + 1) * _SCAN_CHUNK]
         signed = lambda ts: f.beta * f.T.at(ts) - x_j
-        width = f_s / f.K
+        width = p.f_s / f.K
     else:
-        step = _scan_step(f, None)
+        step = _scan_step(f, p)
         n = max(1, int(_SCAN_CHUNK / (1.0 + step * _knot_density(knots))))
 
         def grid(c):  # n steps and the breakpoints among them
@@ -118,7 +120,7 @@ def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
             lo, hi = np.searchsorted(knots, (tau_j + step * (c * n), ts[-1]), "right")
             return np.sort(np.concatenate((ts, knots[lo:hi])))
         signed = lambda ts: eval_forcing(f, x_j, 0.0, ts)
-        width = f_s
+        width = p.f_s
 
     t_prev, s_prev = tau_j, signed(tau_j)
     if (abs(s_prev) <= width) == reenter:
@@ -433,7 +435,7 @@ def simulate_events(x0: float, f: TemperatureSpringForcing, p: FrictionParams,
 
     while t < t_hi:
         if static:
-            tau_half = next_departure(x, t, f, p.f_s, t_end)
+            tau_half = next_departure(x, t, f, p, t_end)
             span_end = min(tau_half, t_hi)
             ts = t + step * np.arange(0, max(1, math.ceil((span_end - t) / step)))
             ts = ts[ts < span_end]

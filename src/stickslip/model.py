@@ -198,16 +198,14 @@ def eval_forcing(f: TemperatureSpringForcing, x, v, t):
     return f.K * (f.beta * f.T.at(t) - x) - f.c * v
 
 
-def natural_frequency(f: TemperatureSpringForcing,
-                      p: FrictionParams | None = None) -> float:
+def natural_frequency(f: TemperatureSpringForcing, p: FrictionParams) -> float:
     """Undamped oscillation rate sqrt(K/m) of the spring-mass system during
-    slips; without friction parameters the mass is taken as one.  A rate
-    that K/m over- or underflows to inf or 0 raises ValueError."""
-    m = 1.0 if p is None else p.m
-    rate = math.sqrt(f.K / m)
+    slips, at the run's mass ``p.m``.  A rate that K/m over- or underflows to
+    inf or 0 raises ValueError."""
+    rate = math.sqrt(f.K / p.m)
     if not 0.0 < rate < math.inf:
         raise ValueError(f"the natural frequency sqrt(K/m) is out of range "
-                         f"at K = {f.K:g}, m = {m:g}")
+                         f"at K = {f.K:g}, m = {p.m:g}")
     return rate
 
 

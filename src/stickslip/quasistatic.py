@@ -83,7 +83,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
     open_end = False
     while len(events) < _MAX_EVENTS:
         # the departure holds at t already when the slip landed outside the window
-        depart = next_departure(x, t, f, p.f_s, t_hi)
+        depart = next_departure(x, t, f, p, t_hi)
         if not depart < t_hi:
             break
         eps = 1 if f.beta * f.T.at(depart) - x >= 0 else -1
@@ -92,7 +92,7 @@ def simulate_quasistatic(x0: float, f: TemperatureSpringForcing, p: FrictionPara
         if dx == 0.0:
             # zero-displacement slip: collapse the chatter into one span
             # lasting until the temperature re-enters the admissible window
-            reentry = next_departure(x, land, f, p.f_s, t_hi, reenter=True)
+            reentry = next_departure(x, land, f, p, t_hi, reenter=True)
             land = min(max(land, reentry), t_hi)
         events.append(Event(time=depart, kind=EventKind.ENTER_DYNAMIC,
                             position=x, epsilon=eps))

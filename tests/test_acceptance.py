@@ -102,7 +102,7 @@ def test_criterion_01_harmonic_benchmark_event_chain():
 # --------------------------------------------------------------------------
 
 def test_criterion_02_analytic_departure_time():
-    got = next_departure(6.0, 0.0, HARMONIC, 1.2, 20.0)
+    got = next_departure(6.0, 0.0, HARMONIC, PARAMS, 20.0)
     want = 4.0 * math.acos(0.8)
     ok = abs(got - want) <= 1e-6
     _report(2, ok, f"departure {got:.8f} vs arccos form {want:.8f} "

@@ -19,6 +19,7 @@ from stickslip import (
     stick_levels_on_grid,
 )
 from stickslip.calibrate import PARAM_NAMES, _DE_POP_PER_DIM, _from_unit
+from stickslip.cli import EXIT_CONFIG, main as cli_main
 
 # the submodules, not the functions the package re-exports under their names
 calibrate_module = importlib.import_module("stickslip.calibrate")
@@ -143,10 +144,10 @@ class TestObjective:
         assert objective(TRUTH._replace(f_d=9000.0), prob) == math.inf
 
     def test_shear_force_zero_mode(self):
+        # a rigid bearing, K_BP = inf, shears by F/inf = 0
         series, z = make_record(n=500)
         prob = CalibrationProblem(temps=series, displs=z, bounds=BOUNDS,
-                                  K_BP=K_BP, budget=100, seed=0,
-                                  shear_force="zero")
+                                  K_BP=math.inf, budget=100, seed=0)
         z_model = model_displacement(TRUTH, prob)
         # without the correction the model is the bare staircase
         assert np.all(np.isin(np.round(np.diff(np.unique(z_model)), 12),
@@ -301,11 +302,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             CalibrationProblem(temps=series, displs=np.zeros(5), bounds=bad)
 
-    def test_bad_shear_mode(self):
-        series = Drive(knots=np.arange(5.0), values=np.zeros(5))
-        with pytest.raises(ValueError):
-            CalibrationProblem(temps=series, displs=np.zeros(5), bounds=BOUNDS,
-                               shear_force="both")
+    def test_bad_shear_mode(self, tmp_path, capsys):
+        # the bearing is K_BP, a rigid one inf: the command line names the
+        # two, and any other mode is a config error before any work
+        rc = cli_main(["calibrate", "--data", str(DEMO_RECORD), "--bounds",
+                       str(DEMO_RECORD.with_name("demo_bounds.txt")),
+                       "--shear-force", "both", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_record(self, bad):

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stickslip import (PhaseLabel, SeriesParseError, Trajectory, cli, ou_path,
-                       quasistatic, simulate_quasistatic)
+from stickslip import (FrictionParams, PhaseLabel, SeriesParseError,
+                       TemperatureSpringForcing, Trajectory, cli, ou_path,
+                       perturbed_temperature, quasistatic, simulate_events,
+                       simulate_quasistatic)
 from stickslip.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -119,8 +121,10 @@ class TestSimulateCommand:
         assert rc == EXIT_CONFIG
 
     def test_quasistatic_rejects_harmonic(self, tmp_path):
+        # a damped forcing: the quasistatic slip lasts half an undamped period
         rc = main(["simulate", "--solver", "quasistatic", "--forcing", "shaw",
-                   "--x0", "6", "--t-end", "1", "--out", str(tmp_path / "x")])
+                   "--alpha", "0.1", "--x0", "6", "--t-end", "1",
+                   "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
 
     def test_euler_vs_events_terminal_gap(self, tmp_path):
@@ -281,6 +285,84 @@ class TestSimulateCommand:
         rc = main(["simulate", "--frobnicate", "1", "--t-end", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("extra", [["--temps", "{temps}"], ["--rho", "0.25"]],
+                             ids=["temps", "rho"])
+    def test_shaw_is_the_cosine_drive_alone(self, tmp_path, capsys, extra):
+        temps = tmp_path / "T.csv"
+        temps.write_text("0,0.0\n10,0.5\n20,1.5\n")
+        flags = [flag.format(temps=temps) for flag in extra]
+        rc = main(["simulate", "--forcing", "shaw", *flags, "--t-end", "20",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --forcing shaw is the cosine drive alone: it takes no "
+            "--temps and no --rho\n")
+        assert not list(tmp_path.glob("x*"))
+
+    def test_alpha_damps_the_thermal_spring(self, tmp_path):
+        # --alpha is a spring flag: the thermal run is the damped library run
+        rc = main(["simulate", "--solver", "events", "--forcing", "thermal",
+                   "--alpha", "0.3", "--beta", "6", "--x0", "6", "--t-end", "26",
+                   "--out", str(tmp_path / "cli")])
+        assert rc == EXIT_OK
+        f = TemperatureSpringForcing(K=1.0, beta=6.0, c=0.6,
+                                     T=perturbed_temperature(0.25, 0.0, None))
+        traj = simulate_events(6.0, f, FrictionParams(m=1.0, f_d=1.0, f_s=1.2),
+                               26.0)
+        cli.write_trajectory(tmp_path / "lib.txt", traj)
+        cli.write_events(tmp_path / "lib.events.txt", traj)
+        for suffix in (".txt", ".events.txt"):
+            assert (tmp_path / f"cli{suffix}").read_bytes() == \
+                (tmp_path / f"lib{suffix}").read_bytes()
+        assert len(traj.events) > 2
+
+    def test_quasistatic_takes_the_undamped_harmonic_drive(self, tmp_path):
+        # the cosine drive alone is the thermal drive at rho = 0
+        for forcing in ("shaw", "thermal"):
+            rc = main(["simulate", "--solver", "quasistatic", "--forcing", forcing,
+                       "--beta", "6", "--x0", "6", "--t-end", "100",
+                       "--out", str(tmp_path / forcing)])
+            assert rc == EXIT_OK
+        for suffix in (".txt", ".events.txt"):
+            assert (tmp_path / f"shaw{suffix}").read_bytes() == \
+                (tmp_path / f"thermal{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("solver", ["events", "quasistatic"])
+    def test_record_every_is_an_euler_flag(self, tmp_path, capsys, solver):
+        rc = main(["simulate", "--solver", solver, "--record-every", "7",
+                   "--t-end", "20", "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --record-every applies to --solver euler only, got 7 with "
+            f"--solver {solver}\n")
+        assert not list(tmp_path.glob("x*"))
+        # the default, 1, runs
+        assert main(["simulate", "--solver", solver, "--record-every", "1",
+                     "--t-end", "20", "--out", str(tmp_path / "x")]) == EXIT_OK
+
+
+class TestParseErrors:
+    """A fault argparse finds is one line on stderr, not a usage block."""
+
+    @pytest.mark.parametrize("argv,err", [
+        (["simulate"], "the following arguments are required: --t-end"),
+        (["simulate", "--t-end", "1", "--solver", "bogus"],
+         "argument --solver: invalid choice: 'bogus' (choose from 'euler', "
+         "'events', 'quasistatic')"),
+        (["simulate", "--config"], "argument --config: expected one argument"),
+    ], ids=["missing", "choice", "config-path"])
+    def test_one_line(self, tmp_path, argv, err):
+        proc = run_module(*argv, "--out", tmp_path / "x")
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == [f"error: {err}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self):
+        proc = run_module("simulate", "--help")
+        assert proc.returncode == EXIT_OK
+        assert "--record-every" in proc.stdout
+        assert proc.stderr == ""
 
 
 class TestEulerBytes:
@@ -608,6 +690,26 @@ class TestCalibrateCommand:
         assert capsys.readouterr().err == (
             "data error: line 6: 'K' is bounded twice, first on line 2\n")
         assert not (tmp_path / "x.fit.txt").exists()
+
+    def test_rigid_bearing_bytes(self, tmp_path):
+        # --shear-force zero fits with K_BP = inf; digests taken when it was
+        # a mode of its own that skipped the shear term
+        data = SRC.parent / "data"
+        rc = main(["calibrate", "--data", str(data / "demo_record.csv"),
+                   "--bounds", str(data / "demo_bounds.txt"), "--budget", "300",
+                   "--seed", "0", "--shear-force", "zero",
+                   "--out", str(tmp_path / "z")])
+        assert rc == EXIT_OK
+        assert {suffix: hashlib.sha256((tmp_path / f"z{suffix}").read_bytes())
+                .hexdigest() for suffix in (".fit.txt", ".best.txt",
+                                            ".history.txt")} == {
+            ".fit.txt":
+                "d6b0c7dcc27e1746c9733641d314d90a369ffd49b68a3ae0178157ca0a80f3bc",
+            ".best.txt":
+                "49360b4e86114911aa4801622595ca75fef9641dc1e4e62a72c5161ba98697f5",
+            ".history.txt":
+                "82df363f8cf2a098d91c405129aa96487088ea52752a8377de772cb5253e31af",
+        }
 
     def test_budget_below_minimum_is_config_error(self, tmp_path):
         data, bounds = _write_record(tmp_path)

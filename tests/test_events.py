@@ -80,23 +80,39 @@ class TestNextDeparture:
         # T = 0.1 t as a two-knot table over the run
         f = TemperatureSpringForcing(
             K=1.0, beta=1.0, T=Drive(knots=[0.0, 50.0], values=[0.0, 5.0]))
-        t = next_departure(0.0, 0.0, f, 1.0, 50.0)
+        t = next_departure(0.0, 0.0, f, FrictionParams(m=1.0, f_d=1.0, f_s=1.0),
+                           50.0)
         assert t == pytest.approx(10.0, abs=1e-6)
 
     def test_static_forever(self):
         f = TemperatureSpringForcing(K=1.0, beta=1.0,
                                      T=Drive(terms=((0.5, 0.0, 0.0),)))
-        assert math.isinf(next_departure(0.0, 0.0, f, 1.2, 100.0))
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+        assert math.isinf(next_departure(0.0, 0.0, f, p, 100.0))
 
-    def test_harmonic_closed_form(self, harmonic_forcing):
-        t = next_departure(6.0, 0.0, harmonic_forcing, 1.2, 20.0)
+    def test_harmonic_closed_form(self, harmonic_forcing, harmonic_params):
+        t = next_departure(6.0, 0.0, harmonic_forcing, harmonic_params, 20.0)
         assert t == pytest.approx(4.0 * math.acos(0.8), abs=1e-6)
 
-    def test_departure_after_restart(self, harmonic_forcing):
+    def test_departure_after_restart(self, harmonic_forcing, harmonic_params):
         # from the second stick level the crossing is upward through +f_s
         _, t1, x1, tau_32, _, _ = _fig_oracle()
-        t = next_departure(x1, t1, harmonic_forcing, 1.2, 30.0)
+        t = next_departure(x1, t1, harmonic_forcing, harmonic_params, 30.0)
         assert t == pytest.approx(tau_32, abs=1e-6)
+
+    @pytest.mark.parametrize("m", [0.25, 4.0])
+    def test_departures_at_the_runs_mass(self, harmonic_forcing, m):
+        # the departure grid is the run's scan grid, 1/64 of the slip period
+        # at mass m; every stick still ends at the root of |b(x_j, t)| = f_s
+        p = FrictionParams(m=m, f_d=1.0, f_s=1.2)
+        traj = simulate_events(6.0, harmonic_forcing, p, 80.0)
+        sticks = [(a, b) for a, b in zip(traj.events, traj.events[1:])
+                  if b.kind == EventKind.ENTER_DYNAMIC]
+        assert len(sticks) >= 3
+        for stick, departure in sticks:
+            g = lambda t: abs(6.0 * math.cos(0.25 * t) - stick.position) - 1.2
+            root = brentq(g, stick.time, departure.time + 1e-3, xtol=1e-13)
+            assert abs(departure.time - root) <= 1e-9
 
     def test_regula_falsi_cost_per_departure(self, harmonic_forcing,
                                              harmonic_params, monkeypatch):
@@ -114,7 +130,7 @@ class TestNextDeparture:
         for stick, departure in sticks:
             calls.clear()
             t = next_departure(stick.position, stick.time, harmonic_forcing,
-                               harmonic_params.f_s, t_end)
+                               harmonic_params, t_end)
             assert t == departure.time
             assert len(calls) <= 8
 
@@ -610,7 +626,7 @@ class TestSimulateEvents:
         # horizon refuses it
         f, p = harmonic_forcing, harmonic_params
         for entry in (lambda: simulate_events(6.0, f, p, t_end),
-                      lambda: next_departure(6.0, 0.0, f, p.f_s, t_end),
+                      lambda: next_departure(6.0, 0.0, f, p, t_end),
                       lambda: dynamic_subphase(6.0, 0.0, -1, f, p, t_end),
                       lambda: simulate_quasistatic(6.0, f, p, t_end)):
             with pytest.raises(ValueError, match="t_end"):

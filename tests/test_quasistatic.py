@@ -105,7 +105,7 @@ def _exit_temperatures(x, f_s, K, beta, temperature):
     for sign in (-1.0, 1.0):
         T = temperature(sign)
         f = TemperatureSpringForcing(K=K, beta=beta, T=T)
-        t = next_departure(x, 0.0, f, f_s, 100.0)
+        t = next_departure(x, 0.0, f, FrictionParams(m=1.0, f_d=0.0, f_s=f_s), 100.0)
         out.append(T.at(t))
     return tuple(out)
 
@@ -200,7 +200,7 @@ class TestWindowSearch:
         assert departure.kind == EventKind.ENTER_DYNAMIC
         assert departure.time == pytest.approx(19.957, abs=1e-3)
         # the event engine's search from the same stick agrees
-        assert next_departure(-0.8, events[stick].time, f, p.f_s,
+        assert next_departure(-0.8, events[stick].time, f, p,
                               t_end) == departure.time
 
     def test_reentry_across_the_whole_window(self):
@@ -217,7 +217,7 @@ class TestWindowSearch:
             EventKind.ENTER_STATIC, EventKind.ENTER_DYNAMIC]
         assert [e.time for e in traj.events] == pytest.approx([0.0, 5.0, 22.5, 27.5],
                                                     abs=1e-12)
-        assert next_departure(0.0, 12.0, f, 1.0, 30.0, reenter=True) == 22.5
+        assert next_departure(0.0, 12.0, f, p, 30.0, reenter=True) == 22.5
 
 
 class TestSimulateQuasistatic:
