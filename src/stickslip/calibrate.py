@@ -46,6 +46,7 @@ PARAM_NAMES = ("z0", "K", "beta", "f_d", "f_s")
 _DE_POP_PER_DIM = 15
 _DE_CR = 0.9
 _DE_F = 0.7
+_DOT_CHUNK = 8192  # OpenBLAS splits a dot of over 10 000 elements across threads
 
 
 class FitParams(NamedTuple):
@@ -113,7 +114,7 @@ class CalibrationProblem:
         self._weights = np.concatenate((dts, dts[-1:]))
         self._runs = monotone_runs(T.values)
         self._w_sum = float(np.sum(self._weights))
-        self._wz_sum = float(np.dot(self._weights, self.displs))
+        self._wz_sum = _dot(self._weights, self.displs)
 
     def dt_weights(self) -> np.ndarray:
         """Sample weights of the integrated mismatch: dt_i = t_{i+1} - t_i,
@@ -177,7 +178,14 @@ def _mismatch(z0: float, z_model: np.ndarray, prob: CalibrationProblem) -> float
     return total if math.isfinite(total) else math.inf
 
 
-def _profiled(u: np.ndarray, prob: CalibrationProblem) -> tuple[float, float]:
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """np.dot in chunks of at most _DOT_CHUNK elements, summed in order: each
+    on one BLAS thread, so the bits do not depend on the thread count."""
+    return sum(float(np.dot(a[i:i + _DOT_CHUNK], b[i:i + _DOT_CHUNK]))
+               for i in range(0, len(a), _DOT_CHUNK))
+
+
+def _profiled(u, prob: CalibrationProblem) -> tuple[float, float]:
     """(z0, objective) at the best z0 for the point ``u`` of the unit cube.
 
     The objective is quadratic in z0 with its minimum at sum w (z_obs -
@@ -188,7 +196,7 @@ def _profiled(u: np.ndarray, prob: CalibrationProblem) -> tuple[float, float]:
     if not _feasible(params):
         return lo, math.inf
     z_model = model_displacement(params, prob)
-    z0 = (prob._wz_sum - float(np.dot(prob._weights, z_model))) / prob._w_sum
+    z0 = (prob._wz_sum - _dot(prob._weights, z_model)) / prob._w_sum
     if not math.isfinite(z0):  # a non-finite model, whose mismatch is inf
         return lo, math.inf
     z0 = min(max(z0, lo), hi)
@@ -199,7 +207,7 @@ def _profiled(u: np.ndarray, prob: CalibrationProblem) -> tuple[float, float]:
 # Box reparameterization: f_d <= f_s inside a rectangle
 # --------------------------------------------------------------------------
 
-def _from_unit(u: np.ndarray, bounds: dict[str, tuple[float, float]]
+def _from_unit(u, bounds: dict[str, tuple[float, float]]
                ) -> tuple[float, float, float, float]:
     """Map the 4-D unit cube onto the feasible (K, beta, f_d, f_s)
     (bijective for fixed bounds).
@@ -241,29 +249,23 @@ def calibrate(prob: CalibrationProblem) -> CalibrationResult:
             f"budget {prob.budget} below the population minimum {pop_size}"
         )
     rng = np.random.default_rng(prob.seed)
-    pop = rng.random((pop_size, dim))
-    fitness = np.empty(pop_size)
-    z0s = np.empty(pop_size)
+    # the bookkeeping runs on Python floats, which beat numpy on 4 coordinates
+    pop = rng.random((pop_size, dim)).tolist()
+    z0s, fitness = map(list, zip(*[_profiled(x, prob) for x in pop]))
     history = np.empty(prob.budget)
-    best = math.inf
-    evals = 0
-    for i in range(pop_size):
-        z0s[i], fitness[i] = _profiled(pop[i], prob)
-        best = min(best, fitness[i])
-        history[evals] = best
-        evals += 1
+    history[:pop_size] = np.minimum.accumulate(fitness)
+    best, evals = float(history[pop_size - 1]), pop_size
 
-    idx = np.arange(pop_size)
-    others = [idx[idx != i] for i in range(pop_size)]
+    others = [np.delete(np.arange(pop_size), i) for i in range(pop_size)]
     while evals < prob.budget:
         for i in range(pop_size):
             if evals >= prob.budget:
                 break
-            r1, r2, r3 = rng.choice(others[i], size=3, replace=False)
-            mutant = np.clip(pop[r1] + _DE_F * (pop[r2] - pop[r3]), 0.0, 1.0)
-            cross = rng.random(dim) < _DE_CR
+            a, b, c = (pop[r] for r in rng.choice(others[i], size=3, replace=False))
+            cross = [r < _DE_CR for r in rng.random(dim).tolist()]
             cross[rng.integers(dim)] = True
-            trial = np.where(cross, mutant, pop[i])
+            trial = [min(max(a[j] + _DE_F * (b[j] - c[j]), 0.0), 1.0) if cross[j]
+                     else pop[i][j] for j in range(dim)]
             z0, f_trial = _profiled(trial, prob)
             if f_trial <= fitness[i]:
                 pop[i] = trial

@@ -144,11 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="forcing angular frequency")
     sim.add_argument("--x0", type=float, default=0.0)
     sim.add_argument("--t-end", type=float, required=True)
-    sim.add_argument("--h", type=float, help="euler step size")
+    sim.add_argument("--h", type=float, help="step size (--solver euler only)")
     sim.add_argument("--rho", type=float, default=0.0,
                      help="noise amplitude on the thermal cosine")
     sim.add_argument("--ou-dt", type=float,
-                     help="noise path spacing (default: h for euler, else 0.01)")
+                     help="noise step at rho != 0 (default: euler's h, else 0.01)")
     sim.add_argument("--temps", type=Path,
                      help="sampled temperature file (time, temperature)")
     sim.add_argument("--record-every", type=int, default=1,
@@ -167,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--budget", type=int, default=20000)
     cal.add_argument("--restarts", type=int, default=1)
     cal.add_argument("--seed", type=int, default=0)
-    cal.add_argument("--kbp", type=float, default=2.0e6,
-                     help="bearing-point shear stiffness")
+    cal.add_argument("--kbp", type=float,
+                     help="bearing-point shear stiffness (default 2e6)")
     cal.add_argument("--shear-force", choices=("friction", "zero"),
-                     default="friction", help="zero: a rigid bearing, K_BP = inf")
+                     default="friction", help="zero: a rigid bearing, no --kbp")
     cal.add_argument("--out", type=Path, required=True)
     cal.add_argument("--header", action="store_true")
 
@@ -255,6 +255,8 @@ def _drive(args) -> Drive:
     if args.forcing == "shaw" and (args.temps is not None or args.rho != 0.0):
         raise ConfigError("--forcing shaw is the cosine drive alone: it takes "
                           "no --temps and no --rho")
+    if args.ou_dt is not None and (args.temps is not None or args.rho == 0.0):
+        raise ConfigError("--ou-dt spaces the noise of a nonzero --rho, not --temps")
     if args.temps is not None:
         if not args.temps.exists():
             raise SeriesParseError(f"temperature file not found: {args.temps}")
@@ -268,7 +270,7 @@ def _drive(args) -> Drive:
     if args.rho != 0.0:
         ou_dt, flag = args.ou_dt, "--ou-dt"
         if ou_dt is None:
-            ou_dt = args.h if args.solver == "euler" and args.h else 0.01
+            ou_dt = args.h or 0.01  # only an Euler run takes an --h
             flag = "--ou-dt (an Euler run takes --h as its default)"
         _check_size("--t-end and --ou-dt", args.t_end / ou_dt + 2, "noise samples")
         n = int(math.ceil(args.t_end / ou_dt)) + 2
@@ -303,9 +305,11 @@ def _check_finite(traj: Trajectory) -> None:
 
 
 def run_simulate(args) -> int:
-    if args.solver != "euler" and args.record_every != 1:
-        raise ConfigError(f"--record-every applies to --solver euler only, "
-                          f"got {args.record_every} with --solver {args.solver}")
+    for flag, value, default in (("--record-every", args.record_every, 1),
+                                 ("--h", args.h, None)):
+        if args.solver != "euler" and value != default:
+            raise ConfigError(f"{flag} applies to --solver euler only, got "
+                              f"{value} with --solver {args.solver}")
     p = FrictionParams(m=args.m, f_d=args.fd, f_s=args.fs)
     forcing = TemperatureSpringForcing(K=args.K, beta=args.beta, T=_drive(args),
                                        c=2.0 * args.alpha)
@@ -392,11 +396,14 @@ def _load_bounds(path: Path) -> dict[str, tuple[float, float]]:
 
 
 def run_calibrate(args) -> int:
+    if args.shear_force == "zero" and args.kbp is not None:
+        raise ConfigError("--shear-force zero is a rigid bearing: it takes no --kbp")
+    K_BP = math.inf if args.shear_force == "zero" else \
+        2.0e6 if args.kbp is None else args.kbp
     temps, displs = _load_record(args.data)
     bounds = _load_bounds(args.bounds)
     out: Path = args.out
 
-    K_BP = math.inf if args.shear_force == "zero" else args.kbp
     results = []
     for r in range(args.restarts):
         prob = CalibrationProblem(temps=temps, displs=displs, bounds=bounds,

@@ -183,7 +183,8 @@ def _lattice_bounds(u: np.ndarray, x0: float, width: float,
     largest k with u - (x0 + k*dx) >= -width.  Both start from the rounded
     quotient and are then corrected by one step against exactly those float
     predicates, so the indices agree with a sequential loop that evaluates
-    them.  Indices are integer-valued floats.
+    them.  Indices are integer-valued floats.  This is the exact path of
+    :func:`_rounded_bounds`, which calls it only for samples near an edge.
     """
     lo = np.ceil((u - width - x0) / dx)
     lo -= u - (x0 + (lo - 1.0) * dx) <= width
@@ -191,6 +192,31 @@ def _lattice_bounds(u: np.ndarray, x0: float, width: float,
     hi = np.floor((u + width - x0) / dx)
     hi += u - (x0 + (hi + 1.0) * dx) >= -width
     hi -= u - (x0 + hi * dx) < -width
+    return lo, hi
+
+
+def _rounded_bounds(u: np.ndarray, u_max: float, x0: float, width: float,
+                    dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """The [lo, hi] of :func:`_lattice_bounds`, from the rounded quotients
+    where those are far from an integer; ``u_max`` is max|u|.
+
+    With q = (u - width - x0)/dx and q_h = q + 2*width/dx, the real bounds
+    are ceil(q) and floor(q_h).  The floats in the predicates u - (x0 +
+    k*dx) <= width (and >= -width) at the k the corrections test are at most
+    M + dx, M = u_max + |x0| + width, so each predicate, and q and q_h, are
+    within a few eps*(M/dx + 1) steps of their real values.  Where q and q_h
+    are both more than tol = 64*eps*(M/dx + 4) from every integer, the float
+    and real predicates agree: the corrections are no-ops.  The rest, with
+    any non-finite quotient, take the exact path; past M/dx ~ 2**45, all do.
+    """
+    q = (u - width - x0) / dx
+    q_h = q + 2.0 * width / dx
+    lo, hi = np.ceil(q), np.floor(q_h)
+    near = np.maximum(np.abs(q - lo + 0.5), np.abs(q_h - hi - 0.5))
+    tol = 64.0 * np.finfo(float).eps * ((u_max + abs(x0) + width) / dx + 4.0)
+    edge = np.flatnonzero(~(near < 0.5 - tol))
+    if len(edge):
+        lo[edge], hi[edge] = _lattice_bounds(u[edge], x0, width, dx)
     return lo, hi
 
 
@@ -206,16 +232,18 @@ def _play_indices(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     lo > hi, which clip maps to the constant hi: with f_d = 0 the window is
     exactly one step wide and rounding can leave it without a lattice level
     (lo = hi + 1), and the level then rests at hi.  Overwrites both arrays.
+    Each pass binds its views once: over a record's few hundred run ends, a
+    pass costs its calls, not its elements.
     """
     n = len(lo)
     tmp_lo, tmp_hi = np.empty(n), np.empty(n)
     step = 1
     while step < n:
-        m = n - step
-        np.maximum(lo[:m], lo[step:], out=tmp_lo[:m])
-        np.maximum(hi[:m], lo[step:], out=tmp_hi[:m])
-        np.minimum(tmp_lo[:m], hi[step:], out=lo[step:])
-        np.minimum(tmp_hi[:m], hi[step:], out=hi[step:])
+        lo_i, hi_i, t_lo, t_hi = lo[step:], hi[step:], tmp_lo[step:], tmp_hi[step:]
+        np.maximum(lo[:-step], lo_i, out=t_lo)
+        np.maximum(hi[:-step], lo_i, out=t_hi)
+        np.minimum(t_lo, hi_i, out=lo_i)
+        np.minimum(t_hi, hi_i, out=hi_i)
         step *= 2
     return np.minimum(np.maximum(0.0, lo), hi)
 
@@ -256,7 +284,9 @@ def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
 
     Every level is x0 + k*dx with dx = 2(f_s - f_d)/K, and each sample moves
     the index k the least that brings |beta*T - level| within f_s/K: the
-    play operator of Krasnosel'skii & Pokrovskii on that lattice.  On a
+    play operator of Krasnosel'skii & Pokrovskii on that lattice.  The
+    bounds [lo_i, hi_i] come from the rounded quotient, exact near a lattice
+    edge (:func:`_rounded_bounds`; the run ends hold max|beta*T|).  On a
     monotone run the bounds [lo_i, hi_i] are monotone too, so inside a run
     k_i = clip(k_e, lo_i, hi_i), with k_e the index at the previous run's
     end (sample 0 counts as the first end).  :func:`_play_indices` therefore
@@ -272,7 +302,7 @@ def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
     if not dx > 0.0:
         return np.full_like(u, x0)
     ends, run = monotone_runs(temps) if runs is None else runs
-    lo, hi = _lattice_bounds(u, x0, width, dx)
+    lo, hi = _rounded_bounds(u, float(np.max(np.abs(u[ends]))), x0, width, dx)
     k = np.concatenate(([0.0], _play_indices(lo[ends], hi[ends])))[run]
     np.maximum(k, lo, out=k)
     np.minimum(k, hi, out=k)

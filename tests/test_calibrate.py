@@ -1,6 +1,9 @@
 import hashlib
 import importlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -380,3 +383,36 @@ class TestDemoRecordFit:
             "0.0009442484051987764", "2984230.0873354366", "8.70589439605081e-05",
             "7366.856295952741", "12285.484954867648"]
         assert repr(res.residual) == "0.55289683511776"
+
+
+# a calibration on a record of 12 000 samples, above the 10 000 at which
+# OpenBLAS splits a dot across its threads; prints the history's sha256 and
+# the fitted parameters, whose z0 a split dot moves in its last bits
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from stickslip import CalibrationProblem, Drive, calibrate
+times = 600.0 * np.arange(12_000)
+temps = 60 * np.sin(times / 1.3e5) + 8 * np.sin(times / 1.4e4)
+z = 1e-4 * temps + 1e-5 * np.random.default_rng(5).standard_normal(12_000)
+prob = CalibrationProblem(temps=Drive(knots=times, values=temps), displs=z,
+                          bounds={bounds!r}, K_BP=5e6, budget=300, seed=0)
+res = calibrate(prob)
+print(hashlib.sha256(res.history.tobytes()).hexdigest(),
+      [repr(float(v)) for v in res.params])
+"""
+
+
+class TestBlasThreads:
+    def test_fit_does_not_depend_on_the_thread_count(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src),
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREADS_SCRIPT.format(bounds=BOUNDS)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

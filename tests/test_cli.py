@@ -223,15 +223,18 @@ class TestSimulateCommand:
         assert segments == ["still_s1.txt"]
 
     def test_rho_zero_builds_no_noise(self, tmp_path, monkeypatch, capsys):
-        # 2e7 samples at --ou-dt 1e-6, above the cap, but rho = 0 reads none
+        # rho = 0 reads no noise, and an --ou-dt that would space one (2e7
+        # samples at 1e-6, above the cap) is refused, not built
         def refuse(*args, **kwargs):
             raise AssertionError("a noise path was built at rho = 0")
         monkeypatch.setattr(cli, "ou_path", refuse)
-        rc = main(["simulate", "--solver", "events", "--forcing", "thermal",
-                   "--rho", "0", "--ou-dt", "1e-6", "--t-end", "20",
-                   "--out", str(tmp_path / "th")])
-        assert rc == EXIT_OK
-        assert capsys.readouterr().err == ""
+        argv = ["simulate", "--solver", "events", "--forcing", "thermal",
+                "--rho", "0", "--t-end", "20", "--out", str(tmp_path / "th")]
+        assert main(argv + ["--ou-dt", "1e-6"]) == EXIT_CONFIG
+        assert not list(tmp_path.glob("th*"))
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "error: --ou-dt spaces the noise of a nonzero --rho, not --temps\n")
         assert (tmp_path / "th.txt").exists()
 
     @pytest.mark.parametrize("solver", ["events", "quasistatic", "euler"])
@@ -240,7 +243,8 @@ class TestSimulateCommand:
         temps = tmp_path / "late.csv"
         temps.write_text("10,0\n20,1\n30,2\n")
         rc = main(["simulate", "--solver", solver, "--forcing", "thermal",
-                   "--temps", str(temps), "--t-end", "30", "--h", "0.01",
+                   "--temps", str(temps), "--t-end", "30",
+                   *(["--h", "0.01"] if solver == "euler" else []),
                    "--out", str(tmp_path / "th")])
         assert rc == EXIT_DATA
         assert capsys.readouterr().err == (
@@ -341,6 +345,30 @@ class TestSimulateCommand:
         assert main(["simulate", "--solver", solver, "--record-every", "1",
                      "--t-end", "20", "--out", str(tmp_path / "x")]) == EXIT_OK
 
+    @pytest.mark.parametrize("solver", ["events", "quasistatic"])
+    def test_h_is_an_euler_flag(self, tmp_path, capsys, solver):
+        rc = main(["simulate", "--solver", solver, "--h", "0.5", "--t-end", "20",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: --h applies to --solver euler only, got 0.5 with "
+            f"--solver {solver}\n")
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("solver", ["events", "quasistatic", "euler"])
+    @pytest.mark.parametrize("drive", ["rho-zero", "temps"])
+    def test_ou_dt_needs_a_noise_path(self, tmp_path, capsys, solver, drive):
+        temps = tmp_path / "T.csv"
+        temps.write_text("0,0\n10,1\n20,0\n")
+        rc = main(["simulate", "--solver", solver, "--ou-dt", "0.5", "--t-end",
+                   "20", *(["--h", "0.01"] if solver == "euler" else []),
+                   *(["--temps", str(temps)] if drive == "temps" else []),
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --ou-dt spaces the noise of a nonzero --rho, not --temps\n")
+        assert not list(tmp_path.glob("x*"))
+
 
 class TestParseErrors:
     """A fault argparse finds is one line on stderr, not a usage block."""
@@ -439,11 +467,13 @@ class TestNonFiniteSolution:
     @pytest.mark.parametrize("args,t", [
         (["--solver", "events", "--forcing", "thermal", "--K", "10"], "0"),
         (["--solver", "quasistatic", "--forcing", "thermal", "--K", "10"], "0"),
-        (["--solver", "euler", "--forcing", "thermal", "--K", "10"], "0"),
-        (["--solver", "euler", "--forcing", "shaw", "--t-end", "10"], "2.67"),
+        (["--solver", "euler", "--h", "0.01", "--forcing", "thermal", "--K", "10"],
+         "0"),
+        (["--solver", "euler", "--h", "0.01", "--forcing", "shaw", "--t-end", "10"],
+         "2.67"),
     ], ids=["events", "quasistatic", "euler", "euler-shaw"])
     def test_overflow_is_a_solver_error(self, tmp_path, capsys, recwarn, args, t):
-        rc = run(tmp_path, "simulate", "--beta", "1e308", "--h", "0.01",
+        rc = run(tmp_path, "simulate", "--beta", "1e308",
                  "--t-end", "1", *args, "--out", tmp_path / "r")
         assert rc == EXIT_SOLVER
         assert capsys.readouterr().err == (
@@ -691,6 +721,23 @@ class TestCalibrateCommand:
             "data error: line 6: 'K' is bounded twice, first on line 2\n")
         assert not (tmp_path / "x.fit.txt").exists()
 
+    def test_rigid_bearing_takes_no_kbp(self, tmp_path, capsys):
+        data, bounds = _write_record(tmp_path)
+        argv = ["calibrate", "--data", str(data), "--bounds", str(bounds),
+                "--budget", "150"]
+        rc = main(argv + ["--shear-force", "zero", "--kbp", "5e6",
+                          "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: --shear-force zero is a rigid "
+                                           "bearing: it takes no --kbp\n")
+        assert not list(tmp_path.glob("x*"))
+        # without --shear-force zero, a missing --kbp is 2e6
+        for name, extra in (("default", []), ("given", ["--kbp", "2e6"])):
+            assert main(argv + extra + ["--out", str(tmp_path / name)]) == EXIT_OK
+        for suffix in (".fit.txt", ".best.txt", ".history.txt"):
+            assert filecmp.cmp(tmp_path / ("default" + suffix),
+                               tmp_path / ("given" + suffix), shallow=False)
+
     def test_rigid_bearing_bytes(self, tmp_path):
         # --shear-force zero fits with K_BP = inf; digests taken when it was
         # a mode of its own that skipped the shear term
@@ -869,7 +916,8 @@ class TestOneRowRecord:
         else:
             record.write_text("0,20\n")
             argv = ["simulate", "--solver", solver, "--forcing", "thermal",
-                    "--temps", record, "--t-end", "10", "--h", "0.01"]
+                    "--temps", record, "--t-end", "10",
+                    *(["--h", "0.01"] if solver == "euler" else [])]
         rc = run(tmp_path, *argv, "--out", tmp_path / "out")
         assert rc == EXIT_DATA
         assert capsys.readouterr().err == \

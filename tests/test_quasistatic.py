@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from stickslip import (
     simulate_quasistatic,
     stick_levels_on_grid,
 )
+from stickslip.calibrate import _from_unit
 from stickslip.quasistatic import monotone_runs
 
 
@@ -420,6 +422,58 @@ class TestStickLevelsOnGrid:
         if 0.0 < dx <= 2.0 * width:
             u = beta * np.asarray(temps)
             assert np.all(np.abs(u - levels) <= width * (1 + 1e-12))
+
+
+class TestRoundedBounds:
+    """The bounds read off the rounded quotient equal the exact predicates of
+    :func:`quasistatic._lattice_bounds`, which the samples near a lattice
+    edge go through."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x0_offset=st.floats(-1.0, 1.0), K=st.floats(1e5, 1e7),
+           beta=st.one_of(st.just(1e-4), st.floats(1e-6, 2e-4)).flatmap(
+               lambda b: st.sampled_from([b, -b])),
+           f_s=st.floats(1e3, 3e4),
+           f_d_share=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+           log2_span=st.one_of(st.integers(0, 12), st.integers(46, 52)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_the_exact_predicates(self, x0_offset, K, beta, f_s,
+                                           f_d_share, log2_span, seed):
+        # a drive on the window edges x0 + k*dx +- width of levels k up to
+        # 2**log2_span, or one or two ulps beside them, and random between
+        rng = np.random.default_rng(seed)
+        width, dx = f_s / K, 2.0 * (f_s - f_d_share * f_s) / K
+        x0 = x0_offset * width
+        k = np.floor(rng.uniform(-1.0, 1.0, 300) * 2.0 ** log2_span)
+        edge = x0 + k * dx + rng.choice([-width, width], 300)
+        temps = np.where(rng.random(300) < 0.8, edge,
+                         x0 + rng.uniform(-1.0, 1.0, 300) * 2.0 ** log2_span * dx)
+        temps = temps / beta
+        temps += rng.integers(-2, 3, 300) * np.spacing(temps)
+        u = beta * temps
+        exact = quasistatic._lattice_bounds(u, x0, width, dx)
+        with mock.patch.object(quasistatic, "_lattice_bounds",
+                               wraps=quasistatic._lattice_bounds) as spy:
+            got = quasistatic._rounded_bounds(u, float(np.max(np.abs(u))), x0,
+                                              width, dx)
+        assert np.array_equal(got[0], exact[0])
+        assert np.array_equal(got[1], exact[1])
+        if log2_span >= 46:  # tol passes 1/2: every sample takes the exact path
+            assert len(spy.call_args.args[0]) == len(u)
+
+    def test_no_demo_candidate_takes_the_exact_path(self, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "data" / "demo_record.csv"
+        temps = np.loadtxt(path, delimiter=",", comments="#", usecols=1)
+        runs = monotone_runs(temps)
+
+        def refuse(*args):
+            raise AssertionError("a sample took the exact path")
+        monkeypatch.setattr(quasistatic, "_lattice_bounds", refuse)
+        bounds = dict(K=(2e5, 8e6), beta=(2e-5, 5e-4), f_d=(1e3, 2e4),
+                      f_s=(2e3, 3e4))  # data/demo_bounds.txt
+        for u in np.random.default_rng(0).random((500, 4)).tolist():
+            K, beta, f_d, f_s = _from_unit(u, bounds)
+            stick_levels_on_grid(temps, beta * temps[0], K, beta, f_d, f_s, runs)
 
 
 # records whose run structure the turning-point scan must get right
