@@ -2,13 +2,13 @@
 
 Three commands: ``simulate`` runs one of the solvers and writes plottable
 column files, ``calibrate`` fits model parameters to a measured record, and
-``ou-gen`` writes a noise path.  Numbers are emitted at 9 significant digits,
-whitespace-separated, so seeded runs are byte-reproducible.
+``ou-gen`` writes a noise path.  Numbers are emitted as ``%.9g`` (see
+``_rows``), whitespace-separated, so seeded runs are byte-reproducible.
 
 Trajectory files carry columns (t, x, v, friction, b) at indices 0-4;
 ``--split-phases`` additionally writes one file per stick/slip segment
-(``<prefix>_s1.txt``, ``<prefix>_d1.txt``, ...) whose concatenation equals
-the unsplit file.
+(``<prefix>_s1.txt``, ``<prefix>_d1.txt``, ...) cut from the unsplit file's
+text, so their concatenation equals it.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .calibrate import PARAM_NAMES, CalibrationProblem, calibrate
+from ._rows import _FMT, write_rows
+from .calibrate import _DE_POP_PER_DIM, PARAM_NAMES, CalibrationProblem, calibrate
 from .euler import EulerConfig, simulate_euler
 from .events import _scan_step, simulate_events
 from .model import (
@@ -41,13 +43,12 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
 
-_FMT = "%.9g"
-_BLOCK_ROWS = 4096  # rows formatted per write, to bound the temporaries
 # the most Euler steps, scan steps or noise samples one command may ask for,
 # checked before anything of that size is allocated or stepped
 MAX_SAMPLES = 10_000_000
-# the smallest accepted value of the integer flags that count something
-_LEAST = {"restarts": 1, "record_every": 1, "n": 2}
+# the least value of each counting flag; a --budget fills the DE's population
+_LEAST = {"restarts": 1, "record_every": 1, "n": 2,
+          "budget": _DE_POP_PER_DIM * (len(PARAM_NAMES) - 1)}
 
 
 class ConfigError(ValueError):
@@ -61,28 +62,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write_rows(fh, columns: np.ndarray) -> None:
-    """Write the rows of a (n, k) array, each number as _FMT and separated by
-    spaces, a block at a time."""
-    row = " ".join([_FMT] * columns.shape[1]) + "\n"
-    for i in range(0, len(columns), _BLOCK_ROWS):
-        block = columns[i:i + _BLOCK_ROWS]
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-
-
 # --------------------------------------------------------------------------
 # Trajectory / event file IO
 # --------------------------------------------------------------------------
 
-def _columns(traj: Trajectory) -> np.ndarray:
-    return np.column_stack((traj.t, traj.x, traj.v, traj.friction, traj.b))
-
-
 def write_trajectory(path: Path, traj: Trajectory, header: bool = False) -> None:
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         if header:
-            fh.write("# t x v friction b\n")
-        _write_rows(fh, _columns(traj))
+            fh.write(b"# t x v friction b\n")
+        write_rows(fh, (traj.t, traj.x, traj.v, traj.friction, traj.b))
 
 
 def write_events(path: Path, traj: Trajectory, header: bool = False) -> None:
@@ -94,22 +82,24 @@ def write_events(path: Path, traj: Trajectory, header: bool = False) -> None:
                      f"{e.epsilon:d}\n")
 
 
-def write_split_segments(prefix: Path, traj: Trajectory,
+def write_split_segments(prefix: Path, traj: Trajectory, text: Path,
                          header: bool = False) -> list[Path]:
-    """One file per consecutive same-phase segment, numbered per phase."""
+    """One file per consecutive same-phase segment, numbered per phase: its
+    lines of ``text``, the file write_trajectory wrote for traj."""
     paths = []
     counts = {PhaseLabel.STATIC.value: 0, PhaseLabel.DYNAMIC.value: 0}
     tag = {PhaseLabel.STATIC.value: "s", PhaseLabel.DYNAMIC.value: "d"}
-    cuts = np.flatnonzero(np.diff(traj.phase)) + 1
-    for start, rows in zip([0, *cuts.tolist()], np.split(_columns(traj), cuts)):
-        phase = int(traj.phase[start])
-        counts[phase] += 1
-        path = prefix.with_name(f"{prefix.name}_{tag[phase]}{counts[phase]}.txt")
-        with open(path, "w") as fh:
-            if header:
-                fh.write("# t x v friction b\n")
-            _write_rows(fh, rows)
-        paths.append(path)
+    cuts = [0, *(np.flatnonzero(np.diff(traj.phase)) + 1).tolist(), len(traj.phase)]
+    with open(text, "rb") as rows:
+        head = rows.readline() if header else b""
+        for start, end in zip(cuts, cuts[1:]):
+            phase = int(traj.phase[start])
+            counts[phase] += 1
+            path = prefix.with_name(f"{prefix.name}_{tag[phase]}{counts[phase]}.txt")
+            with open(path, "wb") as fh:
+                fh.write(head)
+                fh.writelines(islice(rows, end - start))
+            paths.append(path)
     return paths
 
 
@@ -140,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dilatation: the spring pulls toward beta*T")
     sim.add_argument("--K", type=float, default=1.0,
                      help="spring stiffness, for either drive")
-    sim.add_argument("--omega", type=float, default=0.25,
-                     help="forcing angular frequency")
+    sim.add_argument("--omega", type=float,
+                     help="angular frequency of the cosine drive (default 0.25)")
     sim.add_argument("--x0", type=float, default=0.0)
     sim.add_argument("--t-end", type=float, required=True)
     sim.add_argument("--h", type=float, help="step size (--solver euler only)")
@@ -185,14 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """Reject a non-finite number in any float flag, a --t-end, --h, --ou-dt
-    or --dt that is not positive, a --restarts or --record-every below 1 and
-    an --n below 2."""
+    """Reject a non-finite number in any float flag, a --t-end, --h, --ou-dt,
+    --dt or --kbp that is not positive, and a counting flag below its _LEAST
+    value."""
     for name, value in vars(args).items():
         flag = "--" + name.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-        if name in ("t_end", "h", "ou_dt", "dt") and value is not None and value <= 0:
+        if name in ("t_end", "h", "ou_dt", "dt", "kbp") and value is not None \
+                and value <= 0:
             raise ConfigError(f"{flag} must be positive, got {value}")
         least = _LEAST.get(name)
         if least is not None and value < least:
@@ -257,6 +248,8 @@ def _drive(args) -> Drive:
                           "no --temps and no --rho")
     if args.ou_dt is not None and (args.temps is not None or args.rho == 0.0):
         raise ConfigError("--ou-dt spaces the noise of a nonzero --rho, not --temps")
+    if args.temps is not None and (args.rho != 0.0 or args.omega is not None):
+        raise ConfigError("--temps is the whole drive: it takes no --rho and no --omega")
     if args.temps is not None:
         if not args.temps.exists():
             raise SeriesParseError(f"temperature file not found: {args.temps}")
@@ -275,7 +268,8 @@ def _drive(args) -> Drive:
         _check_size("--t-end and --ou-dt", args.t_end / ou_dt + 2, "noise samples")
         n = int(math.ceil(args.t_end / ou_dt)) + 2
         path = _noise_path(flag, n, ou_dt, args.seed)
-    return perturbed_temperature(args.omega, args.rho, path)
+    return perturbed_temperature(0.25 if args.omega is None else args.omega,
+                                 args.rho, path)
 
 
 def _check_scan(forcing: TemperatureSpringForcing, p: FrictionParams,
@@ -340,11 +334,12 @@ def run_simulate(args) -> int:
     _check_finite(traj)
 
     out: Path = args.out
-    write_trajectory(out.with_name(out.name + ".txt"), traj, header=args.header)
+    text = out.with_name(out.name + ".txt")
+    write_trajectory(text, traj, header=args.header)
     write_events(out.with_name(out.name + ".events.txt"), traj,
                  header=args.header)
     if args.split_phases:
-        write_split_segments(out, traj, header=args.header)
+        write_split_segments(out, traj, text, header=args.header)
     return EXIT_OK
 
 
@@ -411,25 +406,24 @@ def run_calibrate(args) -> int:
                                   seed=args.seed + r)
         results.append(calibrate(prob))
 
-    with open(out.with_name(out.name + ".fit.txt"), "w") as fh:
+    with open(out.with_name(out.name + ".fit.txt"), "wb") as fh:
         if args.header:
-            fh.write("# run z0 K f_d f_s beta residual\n")
+            fh.write(b"# run z0 K f_d f_s beta residual\n")
         rows = []
         for r, res in enumerate(results):
             q = res.params
             rows.append((r, q.z0, q.K, q.f_d, q.f_s, q.beta, res.residual))
-        _write_rows(fh, np.array(rows))
+        write_rows(fh, np.array(rows).T)
     best = min(results, key=lambda res: res.residual)
     with open(out.with_name(out.name + ".best.txt"), "w") as fh:
         for name, value in zip(PARAM_NAMES, best.params):
             fh.write(f"{name}={_FMT % value}\n")
         fh.write(f"residual={_FMT % best.residual}\n")
         fh.write(f"evaluations={best.evaluations}\n")
-    with open(out.with_name(out.name + ".history.txt"), "w") as fh:
+    with open(out.with_name(out.name + ".history.txt"), "wb") as fh:
         if args.header:
-            fh.write("# eval best_residual\n")
-        _write_rows(fh, np.column_stack((np.arange(len(best.history)),
-                                         best.history)))
+            fh.write(b"# eval best_residual\n")
+        write_rows(fh, (np.arange(len(best.history)), best.history))
     return EXIT_OK
 
 
@@ -437,10 +431,10 @@ def run_ou_gen(args) -> int:
     _check_size("--n", args.n, "noise samples")
     path = _noise_path("--dt", args.n, args.dt, args.seed)
     out: Path = args.out
-    with open(out.with_name(out.name + ".txt"), "w") as fh:
+    with open(out.with_name(out.name + ".txt"), "wb") as fh:
         if args.header:
-            fh.write("# t v\n")
-        _write_rows(fh, np.column_stack((path.knots, path.values)))
+            fh.write(b"# t v\n")
+        write_rows(fh, (path.knots, path.values))
     return EXIT_OK
 
 

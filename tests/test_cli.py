@@ -304,6 +304,21 @@ class TestSimulateCommand:
             "--temps and no --rho\n")
         assert not list(tmp_path.glob("x*"))
 
+    @pytest.mark.parametrize("extra", [["--rho", "0.25"], ["--omega", "0.3"],
+                                       ["--omega", "0.25"]])
+    def test_temps_is_the_whole_drive(self, tmp_path, capsys, extra):
+        # the record replaces the cosine and its noise; --rho 0 is no noise
+        temps = tmp_path / "T.csv"
+        temps.write_text("0,0.0\n10,0.5\n20,1.5\n")
+        rc = main(["simulate", "--temps", str(temps), *extra, "--t-end", "20",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --temps is the whole drive: it takes no --rho and no --omega\n")
+        assert not list(tmp_path.glob("x*"))
+        assert main(["simulate", "--temps", str(temps), "--rho", "0", "--t-end",
+                     "20", "--out", str(tmp_path / "y")]) == EXIT_OK
+
     def test_alpha_damps_the_thermal_spring(self, tmp_path):
         # --alpha is a spring flag: the thermal run is the damped library run
         rc = main(["simulate", "--solver", "events", "--forcing", "thermal",
@@ -763,6 +778,20 @@ class TestCalibrateCommand:
         rc = main(["calibrate", "--data", str(data), "--bounds", str(bounds),
                    "--budget", "10", "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags,err", [
+        (["--kbp", "0"], "error: --kbp must be positive, got 0.0"),
+        (["--kbp=-2e6"], "error: --kbp must be positive, got -2000000.0"),
+        (["--budget", "10"], "error: --budget must be at least 60, got 10"),
+    ])
+    def test_refused_by_flag_before_the_record_is_read(self, tmp_path, capsys,
+                                                        flags, err):
+        # the missing record would be a data error (3) if it were read first
+        rc = main(["calibrate", "--data", str(tmp_path / "missing.csv"),
+                   "--bounds", str(tmp_path / "missing.txt"), *flags,
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [err]
 
     @pytest.mark.parametrize("restarts", ["0", "-1"])
     def test_restarts_below_one_is_config_error(self, tmp_path, restarts):
