@@ -15,7 +15,10 @@ steps through a chunk of scan points per numpy call, on panels split at the
 drive's knots.  The drive term of each panel is the closed-form particular
 solution of the drive's parts (a linear piece per panel and each cosine
 term).  The first panel end where x' has stopped brackets the end, and
-safeguarded Newton steps on x' refine it to the root tolerance.
+safeguarded Newton steps on x' refine it to the root tolerance, each step
+one panel on floats.  Both scans, departure and sub-phase, take chunks that
+start small and double (:func:`_chunks`): most sticks and slips end within
+the first one.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ __all__ = [
     "simulate_events",
 ]
 
-_SCAN_CHUNK = 2048
+_FIRST_CHUNK = 128  # grid points of a scan's first chunk, see _chunks
+_SCAN_CHUNK = 2048  # and of its largest
 _ROOT_TOL = 1e-9  # width of the final bracket of a departure or a stop
 _MAX_SUBPHASES = 1000  # sub-phases one slip may take before it is refused
 
@@ -88,15 +92,15 @@ def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
     horizon.
 
     With ``reenter`` it is the first t >= tau_j with |b(x_j, t)| <= p.f_s
-    instead.  The search scans a grid in chunks and stops at the first chunk
-    that holds a hit.  A drive with a table and no cosine terms is linear
-    between its knots, so the grid is the knots and the root is the linear
-    crossing of the window edge |beta*T - x_j| = f_s/K: exact on the
-    interpolant, also where one segment jumps across the whole window.  Any
-    other drive is scanned with step :func:`_scan_step` at the run's mass,
-    the grid of the stick rows and the sub-phases, and at its knots, where a
-    noise path may leave the window and return within one step; the crossing
-    is refined by :func:`_illinois` to ``_ROOT_TOL``.
+    instead.  The search scans a grid in the chunks of :func:`_chunks` and
+    stops at the first chunk that holds a hit.  A drive with a table and no
+    cosine terms is linear between its knots, so the grid is the knots and
+    the root is the linear crossing of the window edge |beta*T - x_j| =
+    f_s/K: exact on the interpolant, also where one segment jumps across the
+    whole window.  Any other drive is scanned with step :func:`_scan_step`
+    at the run's mass, the grid of the stick rows and the sub-phases, and at
+    its knots, where a noise path may leave the window and return within one
+    step; the crossing is refined by :func:`_illinois` to ``_ROOT_TOL``.
     """
     t_hi = horizon(t_end, f.T)
     if tau_j >= t_hi:
@@ -106,19 +110,20 @@ def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
     if linear:
         # the window in displacement units, as the stick-level lattice reads it
         first = int(np.searchsorted(knots, tau_j, side="right"))
-        grid = lambda c: knots[first + c * _SCAN_CHUNK:first + (c + 1) * _SCAN_CHUNK]
+        grid = lambda lo, hi: knots[first + lo:first + hi]
         signed = lambda ts: f.beta * f.T.at(ts) - x_j
         width = p.f_s / f.K
+        chunks = _chunks(1.0)
     else:
         step = _scan_step(f, p)
-        n = max(1, int(_SCAN_CHUNK / (1.0 + step * _knot_density(knots))))
+        chunks = _chunks(1.0 + step * _knot_density(knots))
 
-        def grid(c):  # n steps and the breakpoints among them
-            ts = tau_j + step * np.arange(c * n + 1, (c + 1) * n + 1)
+        def grid(lo, hi):  # scan points lo+1..hi and the breakpoints among them
+            ts = tau_j + step * np.arange(lo + 1, hi + 1)
             if knots is None:
                 return ts
-            lo, hi = np.searchsorted(knots, (tau_j + step * (c * n), ts[-1]), "right")
-            return np.sort(np.concatenate((ts, knots[lo:hi])))
+            a, b = np.searchsorted(knots, (tau_j + step * lo, ts[-1]), "right")
+            return np.sort(np.concatenate((ts, knots[a:b])))
         signed = lambda ts: eval_forcing(f, x_j, 0.0, ts)
         width = p.f_s
 
@@ -129,9 +134,8 @@ def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
     # stays there: the hit is the first point at or past the near edge
     side = 1.0 if s_prev > 0 else -1.0
     hit = (lambda s: side * s <= width) if reenter else (lambda s: np.abs(s) > width)
-    c = 0
-    while True:
-        ts = grid(c)
+    for lo, hi in chunks:
+        ts = grid(lo, hi)
         last = len(ts) == 0 or ts[-1] >= t_hi
         if last:
             ts = np.append(ts[ts < t_hi], t_hi)
@@ -142,7 +146,6 @@ def next_departure(x_j: float, tau_j: float, f: TemperatureSpringForcing,
         if last:
             return math.inf
         t_prev, s_prev = ts[-1], s[-1]
-        c += 1
     k = k[0]
     lo, s_lo = (t_prev, s_prev) if k == 0 else (ts[k - 1], s[k - 1])
     hi, s_hi = ts[k], s[k]
@@ -157,6 +160,20 @@ def _knot_density(knots: np.ndarray | None) -> float:
     """Mean number of breakpoints per unit time."""
     return 0.0 if knots is None or len(knots) < 2 else \
         (len(knots) - 1) / (knots[-1] - knots[0])
+
+
+def _chunks(per_step: float):
+    """Scan-step ranges (lo, hi] of a scan's chunks on a grid with
+    ``per_step`` points per scan step (its own and the knots in it): about
+    _FIRST_CHUNK points, then twice as many each time, up to _SCAN_CHUNK.  A
+    scan computes little past a short stick or slip, and a long one takes
+    few numpy batches.  The points, tau + step*k and the knots, do not
+    depend on the schedule."""
+    lo, points = 0, _FIRST_CHUNK
+    while True:
+        hi = lo + max(1, int(points / per_step))
+        yield lo, hi
+        lo, points = hi, min(2 * points, _SCAN_CHUNK)
 
 
 def _illinois(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
@@ -181,7 +198,6 @@ def _illinois(g, a: float, b: float, ga: float, gb: float, tol: float) -> float:
 # Slip sub-phase: the exact linear propagator
 # --------------------------------------------------------------------------
 
-_CHUNK_STEPS = 64  # about one natural period at the default scan step
 # |K - m W^2 + i c W| / K at undamped resonance: zero up to the rounding of a
 # rate such as W = sqrt(K/m), where the steady amplitude would be noise
 _RESONANCE = 4.0 * np.finfo(float).eps
@@ -223,7 +239,6 @@ class _LinearSubphase:
         if self.w == math.inf:  # mu^2 overflowed, not the rate w itself
             s = math.sqrt(self.k_m)
             self.w = math.sqrt(abs(self.mu) - s) * math.sqrt(abs(self.mu) + s)
-        self.breaks = f.T.knots
         # per cosine term (W, phi, resonant, X, Y): the steady response is
         # x_p = X cos(W t + phi) - Y sin(W t + phi), or the secular one with
         # amplitude X at resonance
@@ -237,72 +252,90 @@ class _LinearSubphase:
                 z = force / den
                 self.waves.append((w, ph, False, z.real, z.imag))
 
-    def _decayed_ch_sh(self, r: np.ndarray):
-        """(e^{mu r} ch(r), e^{mu r} sh(r)).  Overdamped, as e^{(mu + w) r}
-        (1 + e^{-2wr}) / 2 and e^{(mu + w) r} (1 - e^{-2wr}) / 2w: cosh and
-        sinh overflow past wr = 710, long before the motion does, and mu + w
-        = -(K/m)/(w - mu) is formed without the cancellation."""
-        if self.delta2 > 0.0:
-            slow = np.exp(-self.k_m / (self.w - self.mu) * r)
-            fast = np.expm1(-2.0 * self.w * r)  # e^{-2wr} - 1
-            return slow * (1.0 + 0.5 * fast), slow * (-0.5 / self.w * fast)
-        decay = np.exp(self.mu * r)
-        if self.delta2 < 0.0:
-            wr = self.w * r
-            return decay * np.cos(wr), decay * (np.sin(wr) / self.w)
-        return decay, decay * r
+    def _at(self, t, cos, sin):
+        """Per cosine term at the time(s) t: the (x, x') of its steady
+        response, or for a secular term the (cos, sin) of its phase."""
+        out = []
+        for w, ph, resonant, X, Y in self.waves:
+            theta = w * t + ph
+            c, s = cos(theta), sin(theta)
+            out.append((c, s) if resonant else (X * c - Y * s, -w * (X * s + Y * c)))
+        return out
 
-    def _particular(self, edges: np.ndarray, r: np.ndarray):
-        """(x, x') of the particular solution at the start and at the end of
-        each panel between consecutive ``edges``, r the panel widths."""
-        f, T = self.f, self.f.T
-        level, rate = np.zeros(len(r)), np.zeros(len(r))
-        if T.knots is not None:
-            table = T.scale * np.interp(edges, T.knots, T.values)
-            level = level + table[:-1]
-            rate = rate + np.divide(np.diff(table), r, out=np.zeros_like(r),
-                                    where=r > 0.0)
+    def _panels(self, r, level, rate, terms, cos, sin):
+        """(E11, E12, E21, E22, d_x, d_v) of panels of widths r, so that the
+        state at a panel's end is E y + d for y the state at its start.  On a
+        panel the table part of T is level + rate (t - t0), and ``terms``
+        holds per cosine term the pairs of :meth:`_at` at its start and at its
+        end.  The arguments are arrays of panels with numpy's cos and sin, or
+        floats of one panel with math's: the same operations either way, and
+        math.cos and math.sin return numpy's bits, so one panel on floats is
+        bit for bit a panel of :meth:`steps`.  The exponentials are numpy's on
+        floats too, as math.exp does not keep numpy's bits.
+
+        Overdamped, e^{mu r} (ch, sh) is formed as e^{(mu + w) r} (1 +
+        e^{-2wr}) / 2 and e^{(mu + w) r} (1 - e^{-2wr}) / 2w: cosh and sinh
+        overflow past wr = 710, long before the motion does, and mu + w =
+        -(K/m)/(w - mu) is formed without the cancellation."""
+        f, mu = self.f, self.mu
+        if self.delta2 > 0.0:
+            slow = np.exp(-self.k_m / (self.w - mu) * r)
+            fast = np.expm1(-2.0 * self.w * r)  # e^{-2wr} - 1
+            ch, sh = slow * (1.0 + 0.5 * fast), slow * (-0.5 / self.w * fast)
+        elif self.delta2 < 0.0:
+            decay, wr = np.exp(mu * r), self.w * r
+            ch, sh = decay * cos(wr), decay * (sin(wr) / self.w)
+        else:
+            ch = np.exp(mu * r)
+            sh = ch * r
+        e11, e12, e21, e22 = ch - mu * sh, sh, -self.k_m * sh, ch + mu * sh
+        # (x, x') of the particular solution at the panel start and end
         v0 = f.beta * rate  # G1/K
         x0 = f.beta * level - (self.eps_fd + f.c * v0) / f.K  # (G0 - c G1/K)/K
         x1, v1 = x0 + v0 * r, v0
-        for w, ph, resonant, X, Y in self.waves:
-            theta = w * edges + ph
-            cos, sin = np.cos(theta), np.sin(theta)
+        for (w, _, resonant, X, _), ((a0, b0), (a1, b1)) in zip(self.waves, terms):
             if resonant:  # x_p = X (t - t0) sin(theta), zero at the panel start
-                v0 = v0 + X * sin[:-1]
-                x1 = x1 + X * r * sin[1:]
-                v1 = v1 + X * (sin[1:] + w * r * cos[1:])
+                v0 = v0 + X * b0
+                x1 = x1 + X * r * b1
+                v1 = v1 + X * (b1 + w * r * a1)
             else:
-                xp, vp = X * cos - Y * sin, -w * (X * sin + Y * cos)
-                x0, v0 = x0 + xp[:-1], v0 + vp[:-1]
-                x1, v1 = x1 + xp[1:], v1 + vp[1:]
-        return x0, v0, x1, v1
+                x0, v0, x1, v1 = x0 + a0, v0 + b0, x1 + a1, v1 + b1
+        return e11, e12, e21, e22, x1 - (e11 * x0 + e12 * v0), v1 - (e21 * x0 + e22 * v0)
 
     def steps(self, t0: float, ts: np.ndarray):
         """Exact steps from t0 through the points ``ts`` and the breakpoints
-        among them: the panel ends, whether each is a point of ``ts``, and per
-        panel (E11, E12, E21, E22, d_x, d_v), so that the state at its end is
-        E y + d for y the state at its start."""
-        mu, ends, on_ts = self.mu, ts, np.ones(len(ts), dtype=bool)
-        if self.breaks is not None:
-            lo, hi = np.searchsorted(self.breaks, (t0, ts[-1]), side="right")
-            points = np.concatenate((ts, self.breaks[lo:hi]))
+        among them: the panel ends, whether each is a point of ``ts``, and
+        the (6, n) array of :meth:`_panels`."""
+        ends, on_ts, T = ts, np.ones(len(ts), dtype=bool), self.f.T
+        if T.knots is not None:
+            lo, hi = np.searchsorted(T.knots, (t0, ts[-1]), side="right")
+            points = np.concatenate((ts, T.knots[lo:hi]))
             order = np.argsort(points, kind="stable")
             ends, on_ts = points[order], order < len(ts)
         edges = np.concatenate(([t0], ends))
         r = np.diff(edges)
-        ch, sh = self._decayed_ch_sh(r)
-        e11, e12, e21, e22 = ch - mu * sh, sh, -self.k_m * sh, ch + mu * sh
-        x0, v0, x1, v1 = self._particular(edges, r)
-        return ends, on_ts, np.array([
-            e11, e12, e21, e22,
-            x1 - (e11 * x0 + e12 * v0), v1 - (e21 * x0 + e22 * v0)]).T
+        level = rate = 0.0
+        if T.knots is not None:
+            table = T.scale * np.interp(edges, T.knots, T.values)
+            level = table[:-1]
+            rate = np.divide(np.diff(table), r, out=np.zeros_like(r), where=r > 0.0)
+        terms = [((a[:-1], b[:-1]), (a[1:], b[1:]))
+                 for a, b in self._at(edges, np.cos, np.sin)]
+        return ends, on_ts, np.array(self._panels(r, level, rate, terms, np.cos, np.sin))
 
     def eval(self, t0: float, x0: float, v0: float, t: float) -> tuple[float, float]:
-        """(x, x') at t from the state (x0, v0) at t0 <= t."""
-        for e11, e12, e21, e22, dx, dv in self.steps(t0, np.array([t]))[2].tolist():
-            x0, v0 = e11 * x0 + e12 * v0 + dx, e21 * x0 + e22 * v0 + dv
-        return x0, v0
+        """(x, x') at t from the state (x0, v0) at t0 <= t, with no breakpoint
+        in (t0, t): one panel of :meth:`steps`, on floats."""
+        r, T = t - t0, self.f.T
+        level = rate = 0.0
+        if T.knots is not None:
+            level, end = (T.scale * np.interp((t0, t), T.knots, T.values)).tolist()
+            rate = (end - level) / r if r > 0.0 else 0.0
+        terms = zip(self._at(t0, math.cos, math.sin), self._at(t, math.cos, math.sin))
+        e11, e12, e21, e22, dx, dv = self._panels(r, level, rate, terms,
+                                                  math.cos, math.sin)
+        # floats, not numpy's scalars, which would slow the next sub-phase
+        return float(e11 * x0 + e12 * v0 + dx), float(e21 * x0 + e22 * v0 + dv)
 
 
 def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
@@ -311,17 +344,14 @@ def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
     """Solve one slip sub-phase from rest at (tau_jk, x_jk).
 
     Steps the exact propagator along the scan grid of :func:`_scan_step`,
-    one numpy batch per chunk of 64 points (fewer where the drive's knots
-    would make it more than about 2 048 panels), to the first panel end where
-    eps * x' is no longer positive; :func:`_stop` refines that end inside its
-    one-panel bracket.  The path holds the start, the interior scan samples
-    and the end.
+    one numpy batch per chunk of :func:`_chunks`, to the first panel end
+    where eps * x' is no longer positive; :func:`_stop` refines that end
+    inside its one-panel bracket.  The path holds the start, the interior
+    scan samples and the end.
     """
     sub = _LinearSubphase(f, p, eps_jk)
     step = _scan_step(f, p)
     t_hi = horizon(t_end, f.T)
-    panels = 1.0 + step * _knot_density(sub.breaks)  # per scan step
-    n = max(1, min(_CHUNK_STEPS, int(_SCAN_CHUNK / panels)))
     path = [(tau_jk, x_jk, 0.0)]  # (t, x, x') samples
 
     def result(t: float, x: float, v: float, truncated: bool) -> SubphaseResult:
@@ -330,23 +360,21 @@ def dynamic_subphase(x_jk: float, tau_jk: float, eps_jk: int,
 
     # x' is checked at every panel end: a noise breakpoint can turn the drive
     # so that the slip stops, and moves on, between two scan points
-    i, state = 0, path[0]
-    while True:
-        grid = np.minimum(tau_jk + step * np.arange(i + 1, i + n + 1), t_hi)
-        ends, on_grid, rows = sub.steps(state[0], grid)
-        for t, sample, (e11, e12, e21, e22, dx, dv) in zip(
-                ends.tolist(), on_grid.tolist(), rows.tolist()):
-            _, x, v = state
-            x, v = e11 * x + e12 * v + dx, e21 * x + e22 * v + dv
-            if eps_jk * v <= 0.0:
-                return result(*_stop(sub, eps_jk, state, (t, x, v), _ROOT_TOL),
+    t, x, v = path[0]
+    for lo, hi in _chunks(1.0 + step * _knot_density(f.T.knots)):
+        grid = np.minimum(tau_jk + step * np.arange(lo + 1, hi + 1), t_hi)
+        ends, on_grid, rows = sub.steps(t, grid)
+        for t1, sample, e11, e12, e21, e22, dx, dv in zip(
+                ends.tolist(), on_grid.tolist(), *rows.tolist()):
+            x1, v1 = e11 * x + e12 * v + dx, e21 * x + e22 * v + dv
+            if eps_jk * v1 <= 0.0:
+                return result(*_stop(sub, eps_jk, (t, x, v), (t1, x1, v1), _ROOT_TOL),
                               0.0, False)
-            state = (t, x, v)
+            t, x, v = t1, x1, v1
             if t >= t_hi:  # still moving at the horizon
                 return result(t, x, v, True)
             if sample:
-                path.append(state)
-        i += n
+                path.append((t, x, v))
 
 
 def _stop(sub: _LinearSubphase, eps: int, lo: tuple, hi: tuple,

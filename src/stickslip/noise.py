@@ -27,6 +27,8 @@ __all__ = [
     "SeriesParseError",
 ]
 
+_BLOCK = 8192  # draws per block of the recursion
+
 
 def ou_path(n: int, dt: float, seed: int) -> Drive:
     """Generate an n-sample Ornstein-Uhlenbeck path from a seeded generator,
@@ -37,14 +39,18 @@ def ou_path(n: int, dt: float, seed: int) -> Drive:
     if not 0 < dt < 2:
         raise ValueError(f"the step must satisfy 0 < dt < 2, got {dt}")
     rng = np.random.default_rng(seed)
-    xi = rng.standard_normal(n - 1)
     decay, gain = 1.0 - dt, math.sqrt(dt)
-    values = [0.0]
-    v = 0.0
-    for xi_k in xi.tolist():
-        v = decay * v + gain * xi_k
-        values.append(v)
-    return Drive(knots=dt * np.arange(n), values=np.array(values))
+    values = np.empty(n)
+    values[0] = v = 0.0
+    # the draws in blocks are the draws of one call, and only one block is
+    # held as Python floats at a time
+    for lo in range(1, n, _BLOCK):
+        block = []
+        for xi_k in rng.standard_normal(min(_BLOCK, n - lo)).tolist():
+            v = decay * v + gain * xi_k
+            block.append(v)
+        values[lo:lo + len(block)] = block
+    return Drive(knots=dt * np.arange(n), values=values)
 
 
 def perturbed_temperature(Omega: float, rho: float, path: Drive | None) -> Drive:

@@ -218,9 +218,11 @@ class TestDynamicSubphase:
         assert sub.tau_next == 1.0
 
     def test_horizon_truncation_in_a_later_chunk(self, harmonic_forcing,
-                                                 harmonic_params):
-        # the slip lasts 10.7, longer than one chunk of 64 scan steps; the
-        # horizon falls between two scan points of the second chunk
+                                                 harmonic_params, monkeypatch):
+        # the slip lasts 10.7, 109 scan steps; with a first chunk of 32, the
+        # horizon (8.0, at 81.5 steps) falls between two scan points of the
+        # second chunk
+        monkeypatch.setattr(events, "_FIRST_CHUNK", 32)
         tau_half = 4.0 * math.acos(0.8)
         t_end = tau_half + 8.0
         full = dynamic_subphase(6.0, tau_half, -1, harmonic_forcing,
@@ -240,10 +242,10 @@ class TestDynamicSubphase:
 
     def test_path_samples_are_the_scan_grid(self, harmonic_forcing,
                                             harmonic_params, monkeypatch):
-        # interior samples sit exactly at tau + i*step, across chunks (cut to
-        # 8 steps, so that every slip crosses several) and with panels split
-        # at noise breakpoints
-        monkeypatch.setattr(events, "_CHUNK_STEPS", 8)
+        # interior samples sit exactly at tau + i*step, across chunks (the
+        # first cut to 8 grid points, so that every slip crosses several) and
+        # with panels split at noise breakpoints
+        monkeypatch.setattr(events, "_FIRST_CHUNK", 8)
         T = perturbed_temperature(0.25, 0.25, ou_path(3001, 0.01, 0))
         noisy = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
         step = (2.0 * math.pi) / 64.0
@@ -252,7 +254,7 @@ class TestDynamicSubphase:
             assert events._scan_step(f, harmonic_params) == step
             sub = dynamic_subphase(x0, tau, eps, f, harmonic_params, 30.0)
             i = np.arange(1, len(sub.path_t) - 1)
-            assert len(i) > 2 * 8
+            assert len(i) > 8 + 16  # past the first two chunks, in scan steps
             assert np.array_equal(sub.path_t[1:-1], tau + i * step)
             assert not sub.truncated
 
@@ -534,8 +536,8 @@ class TestSimulateEvents:
                                                             harmonic_params)
 
     def test_overdamped_slip_over_several_chunks(self, harmonic_params):
-        # a slip of 14.8, over two natural periods: more than two chunks of 64
-        # scan steps, each stepped from the last state of the one before
+        # a slip of 14.8, over two natural periods: 151 scan steps, past the
+        # first chunk, and the second stepped from the last state of the first
         traj = self._check_first_slip_against_adaptive_integration(
             4.0, 0.25, harmonic_params)
         assert traj.events[2].time - traj.events[1].time > 2 * 2 * math.pi
@@ -631,3 +633,135 @@ class TestSimulateEvents:
                       lambda: simulate_quasistatic(6.0, f, p, t_end)):
             with pytest.raises(ValueError, match="t_end"):
                 entry()
+
+
+# --------------------------------------------------------------------------
+# The scans' work: the one-panel step of the stop refinement and the chunks
+# --------------------------------------------------------------------------
+
+def _noisy_drive(t_end, seed):
+    """The drive of ``simulate --forcing thermal --rho 0.25 --seed <seed>``."""
+    n = int(math.ceil(t_end / 0.01)) + 2
+    return perturbed_temperature(0.25, 0.25, ou_path(n, 0.01, seed))
+
+
+_NOISY = _noisy_drive(20.0, 3)
+# name -> (K, drive); m = 1, so the second drive is at undamped resonance
+_DRIVES = {
+    "cosine": (1.0, Drive(terms=((1.0, 0.25, 0.3),))),
+    "resonant": (4.0, Drive(terms=((0.5, 2.0, 0.1),))),
+    "noisy": (1.0, _NOISY),
+    "table": (1.0, Drive(knots=_NOISY.knots, values=_NOISY.values)),
+}
+
+
+class TestOnePanelStep:
+    # _LinearSubphase.eval, each step of the stop refinement, works on
+    # floats; it must be bit for bit the panel that steps computes in numpy
+    @settings(max_examples=400, deadline=None)
+    @given(drive=st.sampled_from(sorted(_DRIVES)),
+           zeta=st.sampled_from([0.0, 0.3, 1.0, 2.5]),  # of critical damping
+           eps=st.sampled_from([-1, 1]), start=st.floats(0.0, 19.0),
+           on_knot=st.booleans(), span=st.floats(0.0, 1.0),
+           x0=st.floats(-10.0, 10.0), v0=st.floats(-3.0, 3.0))
+    def test_eval_is_a_panel_of_steps(self, drive, zeta, eps, start, on_knot,
+                                      span, x0, v0):
+        K, T = _DRIVES[drive]
+        f = TemperatureSpringForcing(K=K, beta=6.0, T=T, c=2.0 * zeta * math.sqrt(K))
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+        sub = events._LinearSubphase(f, p, eps)
+        assert (sub.delta2 < 0.0, sub.delta2 == 0.0, sub.delta2 > 0.0) == (
+            zeta < 1.0, zeta == 1.0, zeta > 1.0)
+        if drive == "resonant":
+            assert sub.waves[0][2] == (zeta == 0.0)
+        # the panel from t0 (a breakpoint, as a stop's bracket often starts)
+        # to the next breakpoint or one scan step on
+        end = start + events._scan_step(f, p)
+        t0 = start
+        if T.knots is not None:
+            k = int(np.searchsorted(T.knots, start))
+            t0 = float(T.knots[k]) if on_knot else start
+            end = min(end, float(T.knots[np.searchsorted(T.knots, t0, "right")]))
+        t = min(t0 + span * (end - t0), end)
+        ends, on_ts, rows = sub.steps(t0, np.array([t]))
+        assert ends[0] == t and on_ts[0]
+        e11, e12, e21, e22, dx, dv = rows[:, 0].tolist()
+        want = (e11 * x0 + e12 * v0 + dx, e21 * x0 + e22 * v0 + dv)
+        assert [float(z).hex() for z in sub.eval(t0, x0, v0, t)] == \
+            [z.hex() for z in want]
+
+
+class TestChunkSchedule:
+    @pytest.mark.parametrize("drive", ["cosine", "noisy"])
+    def test_results_do_not_depend_on_the_schedule(self, drive, monkeypatch):
+        # every departure, re-entry and sub-phase of a run, with first chunks
+        # of 1, 8 and the default number of grid points
+        t_end = 60.0
+        T = _DRIVES["cosine"][1] if drive == "cosine" else _noisy_drive(t_end, 1)
+        f = TemperatureSpringForcing(K=1.0, beta=6.0, T=T)
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+        log = simulate_events(6.0, f, p, t_end).events
+        sticks = [e for e in log if e.kind == EventKind.ENTER_STATIC]
+        slips = [e for e in log if e.kind != EventKind.ENTER_STATIC]
+        assert len(sticks) >= 3 and len(slips) >= 3
+
+        def scans():
+            found = [next_departure(e.position, e.time, f, p, t_end) for e in sticks]
+            found += [next_departure(e.position, e.time, f, p, t_end, reenter=True)
+                      for e in slips]
+            for e in slips:
+                sub = dynamic_subphase(e.position, e.time, e.epsilon, f, p, t_end)
+                found += [sub.tau_next, sub.x_next, sub.truncated, sub.path_t.tobytes(),
+                          sub.path_x.tobytes(), sub.path_v.tobytes()]
+            return found
+        default = scans()
+        for first in (1, 8):
+            monkeypatch.setattr(events, "_FIRST_CHUNK", first)
+            assert scans() == default
+
+    def test_thermal_noisy_scans_compute_little_past_their_ends(self, monkeypatch):
+        # deterministic counters on the seed-0 thermal-noisy drive: the panels
+        # that steps returns against those stepped before each sub-phase's
+        # end, and the points that the departure scans evaluate (a fixed
+        # first chunk of 64 scan steps computed 2.5x the panels stepped, and
+        # departure chunks of 2 048 points evaluated about 137 000 points)
+        t_end = 300.0
+        f = TemperatureSpringForcing(K=1.0, beta=6.0, T=_noisy_drive(t_end, 0))
+        p = FrictionParams(m=1.0, f_d=1.0, f_s=1.2)
+        steps, subphase = events._LinearSubphase.steps, events.dynamic_subphase
+        departure, forcing = events.next_departure, events.eval_forcing
+        count = {"computed": 0, "stepped": 0, "points": 0}
+        starts, scanning = [], []
+
+        def counted_steps(sub, t0, ts):
+            ends, on_ts, rows = steps(sub, t0, ts)
+            starts.append(np.concatenate(([t0], ends[:-1])))
+            return ends, on_ts, rows
+
+        def counted_subphase(*args):
+            starts.clear()
+            sub = subphase(*args)
+            panels = np.concatenate(starts)
+            count["computed"] += len(panels)
+            count["stepped"] += int(np.sum(panels < sub.tau_next))
+            return sub
+
+        def counted_departure(*args, **kwargs):
+            scanning.append(True)
+            try:
+                return departure(*args, **kwargs)
+            finally:
+                scanning.pop()
+
+        def counted_forcing(f, x, v, t):
+            if scanning:
+                count["points"] += np.size(t)
+            return forcing(f, x, v, t)
+        monkeypatch.setattr(events._LinearSubphase, "steps", counted_steps)
+        monkeypatch.setattr(events, "dynamic_subphase", counted_subphase)
+        monkeypatch.setattr(events, "next_departure", counted_departure)
+        monkeypatch.setattr(events, "eval_forcing", counted_forcing)
+        simulate_events(6.0, f, p, t_end)
+        assert count["stepped"] > 20_000
+        assert count["computed"] <= 1.8 * count["stepped"]
+        assert 0 < count["points"] < 20_000
