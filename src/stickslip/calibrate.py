@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Drive
-from .quasistatic import monotone_runs, stick_levels_on_grid
+from .quasistatic import _lattice, _Staircase, monotone_runs, stick_levels_on_grid
 
 __all__ = [
     "FitParams",
@@ -47,6 +47,9 @@ _DE_POP_PER_DIM = 15
 _DE_CR = 0.9
 _DE_F = 0.7
 _DOT_CHUNK = 8192  # OpenBLAS splits a dot of over 10 000 elements across threads
+# the most segments of a staircase the DE keeps for a population member; on
+# the demo record no longer staircase was ever reused (seeds 0, 1, 2, 4, 7)
+_STAIR_SEGMENTS = 128
 
 
 class FitParams(NamedTuple):
@@ -93,7 +96,7 @@ class CalibrationProblem:
             )
         if not np.all(np.isfinite(self.displs)):
             raise ValueError("displacements must be finite")
-        if self.K_BP <= 0:
+        if not self.K_BP > 0:
             raise ValueError("K_BP must be positive")
         missing = [k for k in PARAM_NAMES if k not in self.bounds]
         if missing:
@@ -132,7 +135,7 @@ class CalibrationResult:
 
 def corrected_displacement(x, friction_force, K_BP: float):
     """Observed displacement including the elastic bearing shear x + F/K_BP."""
-    if K_BP <= 0:
+    if not K_BP > 0:
         raise ValueError("K_BP must be positive")
     return x + friction_force / K_BP
 
@@ -148,10 +151,22 @@ def model_displacement(params: FitParams, prob: CalibrationProblem) -> np.ndarra
     """
     _, K, beta, f_d, f_s = params
     temps = prob.temps.values
-    x0 = beta * temps[0]
-    levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s, prob._runs)
-    stick_force = K * (beta * temps - levels)
-    return corrected_displacement(levels, stick_force, prob.K_BP)
+    levels = stick_levels_on_grid(temps, beta * temps[0], K, beta, f_d, f_s,
+                                  prob._runs)
+    return _sheared(levels, K, beta, prob)
+
+
+def _sheared(levels: np.ndarray, K: float, beta: float,
+             prob: CalibrationProblem) -> np.ndarray:
+    """levels + K*(beta*T - levels)/K_BP: the operations of
+    :func:`corrected_displacement` on the stick force, in place on one new
+    array."""
+    z = beta * prob.temps.values
+    z -= levels
+    z *= K
+    z /= prob.K_BP
+    z += levels
+    return z
 
 
 def objective(params, prob: CalibrationProblem) -> float:
@@ -171,10 +186,15 @@ def _feasible(params: FitParams) -> bool:
 
 
 def _mismatch(z0: float, z_model: np.ndarray, prob: CalibrationProblem) -> float:
-    """The objective of the offset z0 and the model displacement."""
-    r = z0 + z_model - prob.displs
+    """The objective of the offset z0 and the model displacement,
+    sum (z0 + z_model - z_obs)^2 * dt, formed in place in ``z_model``."""
+    r = z_model
+    r += z0
+    r -= prob.displs
+    r *= r
+    r *= prob._weights
     # every weight is positive, so a non-finite z makes the sum non-finite
-    total = float(np.sum(r * r * prob.dt_weights()))
+    total = float(np.add.reduce(r))
     return total if math.isfinite(total) else math.inf
 
 
@@ -185,22 +205,45 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
                for i in range(0, len(a), _DOT_CHUNK))
 
 
-def _profiled(u, prob: CalibrationProblem) -> tuple[float, float]:
-    """(z0, objective) at the best z0 for the point ``u`` of the unit cube.
+def _profiled(u, prob: CalibrationProblem, stair: _Staircase | None = None):
+    """(z0, objective, fresh) at the best z0 for the point ``u`` of the unit
+    cube.
 
     The objective is quadratic in z0 with its minimum at sum w (z_obs -
     z_model) / sum w; clipped into the z0 box, that is the box's minimum too.
+    The stick levels are those of ``stair`` when the candidate's own
+    predicates prove them (:meth:`_Staircase.levels`), and otherwise
+    :func:`stick_levels_on_grid`'s, which ``fresh`` then returns as
+    (levels, x0, dx) for a staircase; otherwise ``fresh`` is None.  Either
+    way the model displacement and mismatch are the same operations, so the
+    objective is ``objective``'s bit for bit.
     """
     lo, hi = prob.bounds["z0"]
     params = FitParams(lo, *_from_unit(u, prob.bounds))
     if not _feasible(params):
-        return lo, math.inf
-    z_model = model_displacement(params, prob)
+        return lo, math.inf, None
+    _, K, beta, f_d, f_s = params
+    temps = prob.temps.values
+    x0 = beta * temps[0]
+    width, dx = _lattice(K, f_d, f_s)
+    levels = None if stair is None else stair.levels(beta, x0, width, dx)
+    fresh = None
+    if levels is None:
+        levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s, prob._runs)
+        fresh = levels, x0, dx
+    z_model = _sheared(levels, K, beta, prob)
     z0 = (prob._wz_sum - _dot(prob._weights, z_model)) / prob._w_sum
     if not math.isfinite(z0):  # a non-finite model, whose mismatch is inf
-        return lo, math.inf
+        return lo, math.inf, fresh
     z0 = min(max(z0, lo), hi)
-    return z0, _mismatch(z0, z_model, prob)
+    return z0, _mismatch(z0, z_model, prob), fresh
+
+
+def _staircase(fresh, prob: CalibrationProblem) -> _Staircase | None:
+    """The staircase of a trial's ``fresh`` levels, kept up to
+    _STAIR_SEGMENTS segments."""
+    return None if fresh is None else \
+        _Staircase.build(prob.temps.values, *fresh, _STAIR_SEGMENTS)
 
 
 # --------------------------------------------------------------------------
@@ -241,6 +284,12 @@ def calibrate(prob: CalibrationProblem) -> CalibrationResult:
     closed-form best, so the result's residual is ``objective`` at its
     parameters.  The budget caps evaluations exactly.  Deterministic under
     the problem's seed.
+
+    Each member keeps the staircase of its stick levels (up to
+    _STAIR_SEGMENTS segments), which a trial against it reuses when the
+    trial's own predicates prove it: the play operator's answer is unique,
+    so the reused levels are the ones :func:`stick_levels_on_grid` would
+    return.  An accepted trial that reused its target's staircase keeps it.
     """
     dim = len(PARAM_NAMES) - 1  # z0 is profiled, not searched
     pop_size = _DE_POP_PER_DIM * dim
@@ -251,7 +300,12 @@ def calibrate(prob: CalibrationProblem) -> CalibrationResult:
     rng = np.random.default_rng(prob.seed)
     # the bookkeeping runs on Python floats, which beat numpy on 4 coordinates
     pop = rng.random((pop_size, dim)).tolist()
-    z0s, fitness = map(list, zip(*[_profiled(x, prob) for x in pop]))
+    z0s, fitness, stairs = [], [], []
+    for x in pop:  # the levels become a staircase before the next are formed
+        z0, f, fresh = _profiled(x, prob)
+        z0s.append(z0)
+        fitness.append(f)
+        stairs.append(_staircase(fresh, prob))
     history = np.empty(prob.budget)
     history[:pop_size] = np.minimum.accumulate(fitness)
     best, evals = float(history[pop_size - 1]), pop_size
@@ -266,11 +320,13 @@ def calibrate(prob: CalibrationProblem) -> CalibrationResult:
             cross[rng.integers(dim)] = True
             trial = [min(max(a[j] + _DE_F * (b[j] - c[j]), 0.0), 1.0) if cross[j]
                      else pop[i][j] for j in range(dim)]
-            z0, f_trial = _profiled(trial, prob)
+            z0, f_trial, fresh = _profiled(trial, prob, stairs[i])
             if f_trial <= fitness[i]:
                 pop[i] = trial
                 z0s[i] = z0
                 fitness[i] = f_trial
+                if fresh is not None:
+                    stairs[i] = _staircase(fresh, prob)
             best = min(best, f_trial)
             history[evals] = best
             evals += 1

@@ -46,8 +46,9 @@ EXIT_SOLVER = 4
 # the most Euler steps, scan steps or noise samples one command may ask for,
 # checked before anything of that size is allocated or stepped
 MAX_SAMPLES = 10_000_000
-# the least value of each counting flag; a --budget fills the DE's population
-_LEAST = {"restarts": 1, "record_every": 1, "n": 2,
+# the least value of each counting flag; a --budget fills the DE's population,
+# and numpy's generators take no negative --seed
+_LEAST = {"restarts": 1, "record_every": 1, "n": 2, "seed": 0,
           "budget": _DE_POP_PER_DIM * (len(PARAM_NAMES) - 1)}
 
 

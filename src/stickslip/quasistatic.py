@@ -175,6 +175,12 @@ def _evaluate(tau_half: np.ndarray, tau_next: np.ndarray, levels: np.ndarray,
 # Sampled-grid stick levels (calibration hot path)
 # --------------------------------------------------------------------------
 
+def _lattice(K: float, f_d: float, f_s: float) -> tuple[float, float]:
+    """(width, dx): the half-width f_s/K of the admissible window and the
+    lattice step 2(f_s - f_d)/K, as the stick levels read them."""
+    return f_s / K, 2.0 * (f_s - f_d) / K
+
+
 def _lattice_bounds(u: np.ndarray, x0: float, width: float,
                     dx: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample admissible lattice indices [lo, hi] of the levels x0 + k*dx.
@@ -297,8 +303,7 @@ def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
     """
     u = beta * np.asarray(temps, dtype=float)
     x0 = float(x0)
-    width = f_s / K
-    dx = 2.0 * (f_s - f_d) / K
+    width, dx = _lattice(K, f_d, f_s)
     if not dx > 0.0:
         return np.full_like(u, x0)
     ends, run = monotone_runs(temps) if runs is None else runs
@@ -307,3 +312,76 @@ def stick_levels_on_grid(temps: np.ndarray, x0: float, K: float, beta: float,
     np.maximum(k, lo, out=k)
     np.minimum(k, hi, out=k)
     return x0 + k * dx
+
+
+class _Staircase:
+    """A record's stick levels as lattice indices, to be proven again on
+    another lattice.
+
+    Built by :meth:`build` from the levels :func:`stick_levels_on_grid`
+    returned on the lattice x0 + k*dx: the constant segments with their
+    index k = rint((level - x0)/dx) and length, the largest and smallest T
+    of each segment, and each change of index, counting the start from
+    k = 0 as one.  What it holds depends on the record and the indices
+    alone, not on the parameters that built it.
+    """
+
+    def __init__(self, k, lengths, extremes, t_change, eps, k_back):
+        self.k = k                  # index of each segment
+        self.lengths = lengths      # samples of each segment
+        self.extremes = extremes    # (2, segments): max and min of T
+        self.t_change = t_change    # T at the first sample of each change
+        self.eps = eps              # its direction, +1 or -1
+        self.k_back = k_back        # the index one step back: k - eps
+
+    @classmethod
+    def build(cls, temps: np.ndarray, levels: np.ndarray, x0: float, dx: float,
+              max_segments: int) -> _Staircase | None:
+        """The staircase of ``levels`` on the lattice (x0, dx), or None when
+        dx is not positive or it has more than ``max_segments`` segments."""
+        if not dx > 0.0:
+            return None
+        k = np.rint((levels - x0) / dx)
+        starts = np.flatnonzero(k[1:] != k[:-1]) + 1
+        if len(starts) >= max_segments:
+            return None
+        starts = np.concatenate(([0], starts))
+        k = k[starts]
+        step = np.sign(np.diff(k, prepend=0.0))
+        moved = step != 0.0
+        return cls(k, np.diff(starts, append=len(levels)),
+                   np.stack((np.maximum.reduceat(temps, starts),
+                             np.minimum.reduceat(temps, starts))),
+                   temps[starts[moved]], step[moved], (k - step)[moved])
+
+    def levels(self, beta: float, x0: float, width: float,
+               dx: float) -> np.ndarray | None:
+        """The levels x0 + k*dx of the stored indices at every sample, when
+        they are :func:`stick_levels_on_grid`'s for (beta, x0, width, dx);
+        otherwise None.
+
+        Two checks in the float predicates of :func:`_lattice_bounds` prove
+        the clip recurrence k_i = clip(k_{i-1}, lo_i, hi_i) at every sample:
+        - each segment's level is admissible at every sample,
+          -width <= beta*T - level <= width.  fl(beta*T) and fl(a - level)
+          are monotone, so the segment's extremes of T decide it;
+        - each change is forced: one step back towards the previous index,
+          the drive lies outside the window, so the new index is lo_i going
+          up and hi_i going down.
+        NaN or inf anywhere fails a check.  A negative zero x0 is refused:
+        the checks cannot tell which zero the level at k = 0 carries.
+        """
+        if not (dx > 0.0 and width < math.inf) \
+                or (x0 == 0.0 and math.copysign(1.0, x0) < 0.0):
+            return None
+        level = x0 + self.k * dx
+        drift = beta * self.extremes
+        drift -= level
+        if not (np.abs(drift, out=drift) <= width).all():
+            return None
+        push = beta * self.t_change
+        push -= x0 + self.k_back * dx
+        push *= self.eps
+        if not (push > width).all():
+            return None
+        return np.repeat(level, self.lengths)

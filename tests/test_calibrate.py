@@ -90,6 +90,13 @@ class TestCorrectedDisplacement:
         with pytest.raises(ValueError):
             corrected_displacement(0.0, 0.0, 0.0)
 
+    def test_rejects_nan_stiffness(self):
+        with pytest.raises(ValueError, match="K_BP must be positive"):
+            corrected_displacement(0.001, 2000.0, math.nan)
+
+    def test_rigid_bearing_adds_no_shear(self):
+        assert corrected_displacement(0.001, 2000.0, math.inf) == 0.001
+
 
 class TestObjective:
     def test_self_consistency_noise_free(self):
@@ -253,7 +260,7 @@ class TestProfiledOffset:
         step = 1e-6 * float(np.ptp(z))
         lo, hi = BOUNDS["z0"]
         for u in rng.random((20, 4)):
-            z0, value = calibrate_module._profiled(u, prob)
+            z0, value, _ = calibrate_module._profiled(u, prob)
             params = FitParams(z0, *_from_unit(u, BOUNDS))
             assert value == objective(params, prob)
             for other in (z0 - step, z0 + step, lo, hi):
@@ -292,6 +299,17 @@ class TestProblemValidation:
         series = Drive(knots=np.arange(5.0), values=np.zeros(5))
         with pytest.raises(ValueError):
             CalibrationProblem(temps=series, displs=np.zeros(4), bounds=BOUNDS)
+
+    @pytest.mark.parametrize("k_bp", [0.0, -2e6, math.nan])
+    def test_bearing_stiffness_must_be_positive(self, k_bp):
+        # a NaN bearing would pass a `<= 0` test and make every residual inf
+        series = Drive(knots=np.arange(5.0), values=np.zeros(5))
+        with pytest.raises(ValueError, match="K_BP must be positive"):
+            CalibrationProblem(temps=series, displs=np.zeros(5), bounds=BOUNDS,
+                               K_BP=k_bp)
+        rigid = CalibrationProblem(temps=series, displs=np.zeros(5),
+                                   bounds=BOUNDS, K_BP=math.inf)
+        assert rigid.K_BP == math.inf
 
     def test_missing_bound(self):
         series = Drive(knots=np.arange(5.0), values=np.zeros(5))
@@ -383,6 +401,48 @@ class TestDemoRecordFit:
             "0.0009442484051987764", "2984230.0873354366", "8.70589439605081e-05",
             "7366.856295952741", "12285.484954867648"]
         assert repr(res.residual) == "0.55289683511776"
+
+
+class TestStaircaseReuse:
+    """A trial reuses its target's staircase when its own predicates prove
+    it, and then computes no stick levels; every other trial computes them
+    once.  The count of reused trials is deterministic under the seed."""
+
+    def test_reused_trials_compute_no_stick_levels(self, monkeypatch):
+        times, temps, z = np.loadtxt(DEMO_RECORD, delimiter=",", comments="#",
+                                     unpack=True)
+        prob = CalibrationProblem(temps=Drive(knots=times, values=temps),
+                                  displs=z, bounds=BOUNDS, K_BP=K_BP,
+                                  budget=2000, seed=0)
+        log = []  # what each evaluation did, in order
+        profiled = calibrate_module._profiled
+        levels = quasistatic_module._Staircase.levels
+        stick = calibrate_module.stick_levels_on_grid
+
+        def spy_profiled(*args):
+            log.append([])
+            return profiled(*args)
+
+        def spy_levels(self, *args):
+            got = levels(self, *args)
+            log[-1].append("missed" if got is None else "reused")
+            return got
+
+        def spy_stick(*args):
+            log[-1].append("computed")
+            return stick(*args)
+
+        monkeypatch.setattr(calibrate_module, "_profiled", spy_profiled)
+        monkeypatch.setattr(quasistatic_module._Staircase, "levels", spy_levels)
+        monkeypatch.setattr(calibrate_module, "stick_levels_on_grid", spy_stick)
+        res = calibrate(prob)
+        assert len(log) == res.evaluations == 2000
+        # the population's first evaluations, and members whose staircase
+        # went over the segment cap, have no staircase to try
+        assert all(entry in (["computed"], ["missed", "computed"], ["reused"])
+                   for entry in log)
+        assert log[:60] == [["computed"]] * 60
+        assert sum(entry == ["reused"] for entry in log) == 377
 
 
 # a calibration on a record of 12 000 samples, above the 10 000 at which

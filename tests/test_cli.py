@@ -522,6 +522,36 @@ class TestNoiseStep:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestNegativeSeed:
+    """numpy's generators refuse a negative seed; --seed itself is refused,
+    before the noise path or the DE would pass numpy's error on under
+    another flag's name, or under none."""
+
+    @staticmethod
+    def _refused(tmp_path, capsys, *args, seed):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(tmp_path, *args, "--seed", seed, "--out", out / "r") \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: --seed must be at least 0, got {seed}\n"
+        assert list(out.iterdir()) == []
+
+    def test_ou_gen(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, "ou-gen", "--n", "10", "--dt", "0.1",
+                      seed=-3)
+
+    def test_simulate(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, "simulate", "--solver", "quasistatic",
+                      "--forcing", "thermal", "--rho", "0.25", "--t-end", "5",
+                      seed=-1)
+
+    def test_calibrate(self, tmp_path, capsys):
+        data, bounds = _write_record(tmp_path, n=200)
+        self._refused(tmp_path, capsys, "calibrate", "--data", data,
+                      "--bounds", bounds, "--budget", "60", seed=-1)
+
+
 class TestOutDirectory:
     """An --out in a directory that does not exist is refused before any work,
     with one stderr line naming the path."""
@@ -1078,15 +1108,26 @@ class TestBenchmarkTracerHooks:
         assert spans.layers()["cli.parse_s"] > 0
 
     def test_calibrate_run_records_its_layers(self, tmp_path, monkeypatch):
+        from stickslip.quasistatic import _Staircase
         data, bounds = _write_record(tmp_path, n=200)
         spans = self._install(monkeypatch)
+        reused = []
+        levels = _Staircase.levels
+
+        def spy(self, *args):
+            got = levels(self, *args)
+            reused.append(got is not None)
+            return got
+
+        monkeypatch.setattr(_Staircase, "levels", spy)
         assert run(tmp_path, "calibrate", "--data", data, "--bounds", bounds,
                    "--budget", "150", "--kbp", "5e6",
                    "--out", tmp_path / "fit") == EXIT_OK
         layers = spans.layers()
         assert spans.calls["cli.parse"] == 2  # the record and the bounds
         assert layers["cli.parse_s"] > 0
-        # the DE evaluates with z0 profiled out, through model_displacement
-        # and not objective: one stick-level run per evaluation
-        assert layers["quasistatic.stick_levels_calls"] == 150
+        # the DE evaluates with z0 profiled out, not through objective: one
+        # stick-level run per evaluation that did not reuse a staircase
+        assert 0 < sum(reused) < 90
+        assert layers["quasistatic.stick_levels_calls"] == 150 - sum(reused)
         assert layers["calibrate.de_self_s"] > 0

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from reference_checks import validate_trajectory
 from stickslip import (
@@ -530,3 +530,138 @@ class TestTurningPointScan:
         ("two samples", [0, 1])])
     def test_records_without_turning_points(self, record, ends):
         assert monotone_runs(_EDGE_RECORDS[record])[0].tolist() == ends
+
+
+# a parameter set of the lattice: (K, beta, f_d, f_s, x0 offset in widths)
+_LATTICE_SETS = st.tuples(
+    st.one_of(st.just(1.0), st.floats(1e5, 1e7)),
+    st.one_of(st.just(1.0), st.just(-1.0), st.floats(-2.0, 2.0)),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 0.95)),  # f_d share
+    st.floats(0.05, 2.0),  # width f_s/K
+    st.one_of(st.just(0.0), st.floats(-1.0, 1.0))).map(
+        lambda s: (s[0], s[1], s[2] * s[3] * s[0], s[3] * s[0], s[4]))
+
+
+def _nearby(lattice_set):
+    """The set with K, beta, f_d or f_s moved by up to 1e-3 relative or by
+    a few ulps, or with f_s and f_d moved together, which widens or narrows
+    the window on the same lattice: index sequences mostly shared, window
+    edges moved."""
+    K, beta, f_d, f_s, offset = lattice_set
+    delta = st.one_of(st.floats(-1e-3, 1e-3), st.integers(-2, 2).map(
+        lambda n: n * 2.0 ** -52))
+
+    def move(which, rel):
+        out = [K, beta, f_d, f_s]
+        for i in which:
+            out[i] += rel * out[i] if i < 2 else rel * f_s
+        return (*out, offset)
+    return st.builds(move, st.sampled_from([(0,), (1,), (2,), (3,), (2, 3),
+                                            (2, 3), (2, 3)]),
+                     delta).filter(lambda s: 0.0 <= s[2] <= s[3])
+
+
+def _levels_and_indices(temps, lattice_set):
+    """(x0, width, dx, stick levels, indices rint((level - x0)/dx) or None
+    where dx is not positive) of a lattice set on a record."""
+    K, beta, f_d, f_s, offset = lattice_set
+    width, dx = quasistatic._lattice(K, f_d, f_s)
+    x0 = beta * temps[0] + offset * width
+    levels = stick_levels_on_grid(temps, x0, K, beta, f_d, f_s)
+    k = np.rint((levels - x0) / dx) if dx > 0.0 else None
+    return x0, width, dx, levels, k
+
+
+def _edge_record(data, lattice_set):
+    """A walk over the window edges of the set's lattice levels, on them or
+    one or two ulps beside, and halfway inside, from a first sample at the
+    window's centre."""
+    K, beta, f_d, f_s, _ = lattice_set
+    width, dx = quasistatic._lattice(K, f_d, f_s)
+    n = data.draw(st.integers(1, 80))
+    k = np.cumsum(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    side = np.array(data.draw(st.lists(st.sampled_from([-1.0, -0.5, 0.5, 1.0]),
+                                       min_size=n, max_size=n)))
+    u = k * (dx if dx > 0.0 else width) + side * width
+    u += np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n,
+                                     max_size=n))) * np.spacing(u)
+    u = np.concatenate(([0.0], u))
+    return u / beta if abs(beta) >= 0.01 else u
+
+
+class TestStaircase:
+    """A staircase kept from one parameter set and proven on another gives
+    stick_levels_on_grid's bytes, or None; it gives None only where the
+    index sequences differ or no lattice level fits the window."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data(), first=_LATTICE_SETS)
+    def test_reuse_is_exact_and_complete(self, data, first):
+        record = data.draw(st.sampled_from(["edge", "plateaus", "edge walk",
+                                            "edge walk"]))
+        if record == "edge":
+            temps = data.draw(st.sampled_from(list(_EDGE_RECORDS.values())))
+        elif record == "plateaus":
+            temps = np.array(data.draw(st.lists(
+                st.tuples(st.floats(-5.0, 5.0), st.integers(1, 4)),
+                min_size=1, max_size=120).map(
+                    lambda runs: [v for v, n in runs for _ in range(n)])))
+        else:
+            temps = _edge_record(data, first)
+        second = data.draw(st.one_of(st.just(first), _nearby(first),
+                                     _nearby(first), _LATTICE_SETS))
+        x0, _, dx, levels, k1 = _levels_and_indices(temps, first)
+        stair = quasistatic._Staircase.build(temps, levels, x0, dx,
+                                             len(temps) + 1)
+        assert (stair is None) == (k1 is None)
+        if stair is None:
+            return
+        x0, width, dx, want, k2 = _levels_and_indices(temps, second)
+        got = stair.levels(second[1], x0, width, dx)
+        event("hit" if got is not None else "miss")
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+        # a step narrower than the window by more than rounding always
+        # leaves a level inside it; the sign of a zero x0 the checks cannot
+        # prove
+        fits = second[2] > 0.0 and dx < 2.0 * width * (1.0 - 1e-9)
+        signed_zero = x0 == 0.0 and math.copysign(1.0, x0) < 0.0
+        if fits and not signed_zero and k2 is not None \
+                and np.array_equal(k1, k2):
+            event("complete-check")
+            assert got is not None
+
+    @pytest.mark.parametrize("beta", [1.0, -1.0])
+    @pytest.mark.parametrize("drive, first, second, reused", [
+        # a wider window on the same lattice: the change at 0.7 is not forced
+        ([0.0, 0.7, 0.5, 0.1], (0.3, 0.6), (0.45, 0.75), False),
+        # a narrower one: the segment's smallest drive, 0.1, leaves it
+        ([0.0, 0.7, 0.5, 0.1], (0.3, 0.6), (0.15, 0.45), False),
+        # a drive exactly on a window edge is admissible
+        ([0.0, 0.5, 1.0], (0.25, 0.5), (0.25, 0.5), True),
+    ], ids=["wider", "narrower", "on the edges"])
+    def test_each_check_decides(self, drive, first, second, reused, beta):
+        # (f_d, f_s) pairs at K = 1; beta*T is the drive for either sign
+        temps = beta * np.array(drive)
+        x0 = beta * temps[0]
+        levels = stick_levels_on_grid(temps, x0, 1.0, beta, *first)
+        stair = quasistatic._Staircase.build(
+            temps, levels, x0, quasistatic._lattice(1.0, *first)[1], 4)
+        got = stair.levels(beta, x0, *quasistatic._lattice(1.0, *second))
+        assert (got is not None) == reused
+        if reused:
+            want = stick_levels_on_grid(temps, x0, 1.0, beta, *second)
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_negative_zero_start_is_refused(self):
+        # beta*T(0) = -0.0 gives x0 = -0.0, and stick_levels_on_grid returns
+        # the level at k = 0 as -0.0 or 0.0 from sample to sample within one
+        # segment: a sign the predicates cannot prove
+        temps = np.array([0.0, 1.0, -0.5, 0.5])
+        width, dx = quasistatic._lattice(1.0, 0.3, 0.6)
+        levels = stick_levels_on_grid(temps, -0.0, 1.0, -1.0, 0.3, 0.6)
+        assert np.signbit(levels[2]) and not np.signbit(levels[3])
+        stair = quasistatic._Staircase.build(temps, levels, -0.0, dx, 4)
+        assert stair.levels(-1.0, -0.0, width, dx) is None
+        want = stick_levels_on_grid(temps, 0.0, 1.0, -1.0, 0.3, 0.6)
+        assert stair.levels(-1.0, 0.0, width, dx).tobytes() == want.tobytes()
